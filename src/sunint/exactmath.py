@@ -312,8 +312,9 @@ class RatFuncN:
         return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
-        other = _as_ratfunc(other)
-        return RatFuncN(self.num * other.num, self.den * other.den)
+        if isinstance(other, RatFuncN):
+            return RatFuncN(self.num * other.num, self.den * other.den)
+        return RatFuncN(self.num * _as_poly(other), self.den)
 
     __rmul__ = __mul__
 
@@ -486,6 +487,202 @@ def parse_ratfunc(text: str) -> RatFuncN:
 
 
 # -- linear solving ----------------------------------------------------------
+#
+# The solver never eliminates over Q(N).  It clears every row to integer
+# polynomials, solves the evaluated system exactly at integer points N = x,
+# rebuilds each unknown from its point values, and accepts the candidate only
+# after checking every row as a polynomial identity.  Full column rank at one
+# point makes the checked solution the unique one.
+#
+# Degree bound.  With D the sum of the k largest cleared row degrees, Cramer's
+# rule on any k rows that are independent over Q(N) writes every unknown as
+# num/den with both degrees <= D, so the common denominator Q has degree <= D
+# and each Q * x_j has a reduced numerator of degree <= 2D.  A nonzero k-minor
+# of the matrix part has degree <= D_A <= D, so the rank drops at no more than
+# D_A points unless it is deficient over Q(N).  At a full-rank point the
+# solution has no pole (a pole would give a kernel vector), so an inconsistent
+# full-rank point refutes the whole system.  With 3D + 1 fitted points and D
+# held-out points the reconstruction below can neither miss nor be fooled by
+# a function of those degrees, which caps the points at 4D + 1.
+
+_HELD_OUT = 2   # held-out points that must confirm a candidate before the cap
+
+
+def _num_den(x: RatFuncN | PolyN | Scalar) -> tuple[PolyN, PolyN]:
+    if isinstance(x, RatFuncN):
+        return x.num, x.den
+    return _as_poly(x), _POLY_ONE
+
+
+def _int_coeffs(polys: Sequence[PolyN]) -> list[list[int]]:
+    """Coefficient lists (ascending) of c * p for every p, with the one
+    positive rational c that makes them coprime integers."""
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    ints = [[c.numerator * (scale // c.denominator) for c in p.coeffs]
+            for p in polys]
+    g = gcd(*(c for p in ints for c in p)) or 1
+    return [[c // g for c in p] for p in ints]
+
+
+def _clear_row(entries: Sequence[tuple[PolyN, PolyN]]
+               ) -> tuple[list[list[int]], PolyN]:
+    """Multiply one row, given as (numerator, denominator) pairs, by the lcm
+    of its denominators and a constant so every entry is an integer
+    polynomial.  Returns the cleared row and the lcm."""
+    scale = _POLY_ONE
+    for _, den in entries:
+        if den.degree > 0:
+            scale = scale * den.exact_div(poly_gcd(scale, den))
+    return _int_coeffs([
+        num * (scale.exact_div(den) if den.degree > 0
+               else scale * (1 / den.leading))
+        for num, den in entries]), scale
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _solve_at(rows: list[list[list[int]]], k: int,
+              x: int) -> list[Fraction] | None:
+    """Solve the cleared system at N = x by fraction-free (Bareiss)
+    elimination over the integers.  Returns None when the evaluated matrix
+    has rank below k; raises InconsistentSystemError when it has full rank
+    but some row is violated."""
+    mat = []
+    for row in rows:
+        vals = [_horner(p, x) for p in row]
+        g = gcd(*vals)
+        mat.append([v // g for v in vals] if g > 1 else vals)
+    m = len(mat)
+    prev = 1
+    for col in range(k):
+        piv = next((r for r in range(col, m) if mat[r][col]), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        top = mat[col]
+        p = top[col]
+        tail = top[col + 1:]
+        for r in range(col + 1, m):
+            row = mat[r]
+            h = row[col]
+            if h:
+                row[col + 1:] = [(p * a - h * b) // prev
+                                 for a, b in zip(row[col + 1:], tail)]
+            else:
+                row[col + 1:] = [p * a // prev for a in row[col + 1:]]
+        prev = p
+    if any(mat[r][k] for r in range(k, m)):
+        raise InconsistentSystemError(
+            f"overdetermined system is inconsistent (at N = {x}, where the "
+            "matrix has full column rank)")
+    # back substitution for the Cramer numerators x_j * det, all integers
+    nums = [0] * k
+    for r in range(k - 1, -1, -1):
+        row = mat[r]
+        acc = prev * row[k]
+        for c in range(r + 1, k):
+            acc -= row[c] * nums[c]
+        nums[r] = acc // row[r]
+    return [Fraction(v, prev) for v in nums]
+
+
+def _newton(xs: Sequence[int], ys: Sequence[Fraction]) -> PolyN:
+    """The polynomial of degree < len(xs) through the points (xs, ys)."""
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [c[-1]]                    # Horner in the Newton basis
+    for i in range(len(xs) - 2, -1, -1):
+        shifted = [Fraction(0), *coeffs]
+        for d, a in enumerate(coeffs):
+            shifted[d] -= a * xs[i]
+        shifted[0] += c[i]
+        coeffs = shifted
+    return PolyN(coeffs)
+
+
+def _reconstruct(xs: Sequence[int], ys: Sequence[Fraction],
+                 held: int) -> tuple[PolyN, PolyN] | None:
+    """Rational reconstruction: fit all but the last ``held`` points, then
+    walk the extended Euclidean sequence r_i = t_i * interpolant mod
+    prod(N - x) and return the first (r_i, t_i) whose ratio also takes every
+    held-out value.  The first pair is the interpolant over 1, so a
+    polynomial costs no division.  Returns None when no pair fits."""
+    fit = len(xs) - held
+    checks = list(zip(xs[fit:], ys[fit:]))
+    nodes = [1]                         # prod(N - x) over the fitted points
+    for x in xs[:fit]:
+        nodes = [0, *nodes]
+        for d in range(len(nodes) - 1):
+            nodes[d] -= x * nodes[d + 1]
+    r0, r1 = PolyN(nodes), _newton(xs[:fit], ys[:fit])
+    t0, t1 = _POLY_ZERO, _POLY_ONE
+    while True:
+        if all((tv := t1(x)) and r1(x) == y * tv for x, y in checks):
+            return r1, t1
+        if r1.is_zero:
+            return None
+        q, rem = r0.divmod(r1)
+        t0, t1 = t1, t0 - q * t1
+        if not rem.is_zero:
+            # monic remainders keep the rationals small; only r/t matters
+            inv = 1 / rem.leading
+            rem, t1 = rem * inv, t1 * inv
+        r0, r1 = r1, rem
+
+
+def _reconstruct_all(xs: Sequence[int], values: Sequence[list[Fraction]],
+                     held: int, den: PolyN) -> tuple[list[PolyN], PolyN]:
+    """Numerators P_j and one common denominator Q with x_j = P_j / Q.
+
+    Q starts at ``den``.  Unknowns are taken in order; each is multiplied by
+    the denominator found so far, so usually at most the first needs a
+    rational reconstruction and the rest are polynomial fits.  Stops at the
+    first unknown the points do not determine, so fewer numerators than
+    unknowns come back when more points are needed."""
+    den_at = [den(x) for x in xs]
+    nums: list[PolyN] = []
+    for j in range(len(values[0])):
+        got = _reconstruct(xs, [v[j] * d for v, d in zip(values, den_at)],
+                           held)
+        if got is None:
+            break
+        r, t = got
+        if t.degree > 0:
+            nums = [p * t for p in nums]
+            den = den * t
+            den_at = [d * t(x) for d, x in zip(den_at, xs)]
+        else:
+            r = r * (1 / t.leading)
+        nums.append(r)
+    return nums, den
+
+
+def _satisfies(rows: list[list[list[int]]], nums: list[PolyN],
+               den: PolyN) -> bool:
+    """Whether x_j = nums[j]/den satisfies every row identically.
+
+    A cleared row is the original row times a nonzero polynomial, so the
+    identity sum_j a_ij x_j = b_i in Q(N) is checked, after multiplying
+    through by Q = den, as sum_j a_ij * P_j - b_i * Q == 0 in Z[N]."""
+    ints = _int_coeffs([*nums, -den])
+    for row in rows:
+        terms = [(a, p) for a, p in zip(row, ints) if a and p]
+        acc = [0] * max((len(a) + len(p) - 1 for a, p in terms), default=0)
+        for a, p in terms:
+            for i, ai in enumerate(a):
+                for j, pj in enumerate(p):
+                    acc[i + j] += ai * pj
+        if any(acc):
+            return False
+    return True
+
 
 def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
                         rhs: Sequence[RatFuncN | PolyN | Scalar],
@@ -494,60 +691,77 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
 
     The system may be overdetermined (rows >= columns); it must have full
     column rank and every redundant row must be satisfied identically, else
-    RankDeficientError / InconsistentSystemError is raised.  Forward
-    elimination is fraction-free (Bareiss) on a denominator-cleared
-    polynomial matrix; the solution is verified against every original row.
+    RankDeficientError / InconsistentSystemError is raised.
+
+    Each row is cleared to integer polynomials.  The evaluated system is
+    solved exactly at N = 1, 2, 3, ..., skipping points where an entry has a
+    pole or the rank drops; every unknown is rebuilt from its point values
+    by rational reconstruction, with points added until held-out points
+    confirm the candidate.  The result is returned only once every row holds
+    as an identity of rational functions, and the matrix has full rank at
+    the sampled points, so the solution is unique.  A degree bound from the
+    cleared rows caps the number of points (see the section comment).
     """
-    a = [[_as_ratfunc(x) for x in row] for row in rows]
-    b = [_as_ratfunc(x) for x in rhs]
-    m = len(a)
-    if m == 0 or len(b) != m:
+    m = len(rows)
+    if m == 0 or len(rhs) != m:
         raise ValueError("matrix and right-hand side sizes do not match")
-    k = len(a[0])
-    if any(len(row) != k for row in a):
+    k = len(rows[0])
+    if any(len(row) != k for row in rows):
         raise ValueError("ragged coefficient matrix")
     if m < k:
         raise RankDeficientError(f"{m} rows cannot determine {k} unknowns")
 
-    # Clear denominators row by row: each row becomes a PolyN row.
-    mat: list[list[PolyN]] = []
-    for row, rb in zip(a, b):
-        scale = _POLY_ONE
-        for entry in (*row, rb):
-            scale = scale * entry.den.exact_div(poly_gcd(scale, entry.den))
-        mat.append([entry.num * scale.exact_div(entry.den)
-                    for entry in (*row, rb)])
+    cleared = []
+    scales = set()
+    for row, rb in zip(rows, rhs):
+        ints, scale = _clear_row([_num_den(x) for x in (*row, rb)])
+        cleared.append(ints)
+        if scale.degree > 0:
+            scales.add(scale)
+    poles = [_int_coeffs([p])[0] for p in scales]
+    # The entries' own denominators are the first guess for the solution's;
+    # it shrinks what is left to reconstruct.  The final attempt drops it.
+    hint = _POLY_ONE
+    for p in scales:
+        hint = hint * p.exact_div(poly_gcd(hint, p))
 
-    # Bareiss fraction-free forward elimination with row pivoting.
-    prev = _POLY_ONE
-    for col in range(k):
-        pivot_row = next((r for r in range(col, m) if not mat[r][col].is_zero),
-                         None)
-        if pivot_row is None:
-            raise RankDeficientError(f"no pivot for column {col}")
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-        pivot = mat[col][col]
-        for r in range(col + 1, m):
-            head = mat[r][col]
-            for c in range(col + 1, k + 1):
-                mat[r][c] = (pivot * mat[r][c] - head * mat[col][c]).exact_div(prev)
-            mat[r][col] = _POLY_ZERO
-        prev = pivot
+    def top_k_sum(degrees):
+        return sum(sorted((max(d, 0) for d in degrees), reverse=True)[:k])
 
-    x: list[RatFuncN] = [RATFUNC_ZERO] * k
-    for r in range(k - 1, -1, -1):
-        acc = RatFuncN(mat[r][k])
-        for c in range(r + 1, k):
-            acc = acc - RatFuncN(mat[r][c]) * x[c]
-        x[r] = acc / RatFuncN(mat[r][r])
+    bound_a = top_k_sum(max(len(p) for p in row[:k]) - 1 for row in cleared)
+    bound = top_k_sum(max(len(p) for p in row) - 1 for row in cleared)
+    cap = 4 * bound + 1
 
-    # Redundant rows must hold as identities of rational functions.
-    for row, rb in zip(a, b):
-        lhs = RATFUNC_ZERO
-        for coeff, xi in zip(row, x):
-            lhs = lhs + coeff * xi
-        if lhs != rb:
+    xs: list[int] = []
+    values: list[list[Fraction]] = []
+    deficient = 0
+    x = 0
+    want = min(_HELD_OUT + 2, cap)
+    while True:
+        while len(xs) < want:
+            x += 1
+            if any(_horner(p, x) == 0 for p in poles):
+                continue
+            sol = _solve_at(cleared, k, x)
+            if sol is None:
+                deficient += 1
+                if deficient > bound_a:
+                    raise RankDeficientError(
+                        f"rank below {k} at {deficient} points; a nonzero "
+                        f"{k}-minor has degree at most {bound_a}")
+                continue
+            xs.append(x)
+            values.append(sol)
+        final = want >= cap
+        nums, den = (_reconstruct_all(xs, values, bound, _POLY_ONE) if final
+                     else _reconstruct_all(xs, values, _HELD_OUT, hint))
+        if len(nums) == k:
+            if _satisfies(cleared, nums, den):
+                return [RatFuncN(p, den) for p in nums]
+        else:
+            hint = den      # keep the denominator found while points last
+        if final:
             raise InconsistentSystemError(
-                "overdetermined system is inconsistent")
-    return x
+                "overdetermined system is inconsistent (no rational solution "
+                f"within the degree bound {bound} satisfies every row)")
+        want = min(cap, want + max(2, want // 3))

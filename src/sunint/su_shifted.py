@@ -122,8 +122,12 @@ def check_shift_identity(n: int) -> list[dict]:
     determinant-sector entry matches the pole-stripped numerator of the
     balanced entry evaluated one dimension up.
 
-    The balanced entry times N^2 (N^2-1) ... (N^2-(n-1)^2) must be a
-    polynomial P; the claim is entry * (N+1) N (N-1) ... (N-(n-2)) = P(N+1).
+    When the balanced entry times N^2 (N^2-1) ... (N^2-(n-1)^2) is a
+    polynomial P, the claim is entry * (N+1) N (N-1) ... (N-(n-2)) = P(N+1).
+    That product clears every pole for n <= 5 only.  From n = 6 on, most
+    balanced entries have double poles at N = +-1 (a factor (N^2-1)^2 in the
+    denominator), so the product stays a rational function; such rows report
+    ``ok`` False and ``numerator`` None (at n = 6, all but 1^1 5^1 and 6^1).
     The determinant-sector side uses the recursion route so the two tables
     enter through independent derivations.
     """

@@ -213,11 +213,11 @@ def recursion_step(prev: CoeffTable, marked: PolyN,
                 for m in range(n)
                 for beta in enumerate_partitions(n - 1 - m)]
     index = {key: i for i, key in enumerate(row_keys)}
-    matrix = [[RatFuncN(0)] * len(cols) for _ in row_keys]
+    matrix: list[list[PolyN | int]] = [[0] * len(cols) for _ in row_keys]
     for c, alpha in enumerate(cols):
         for key, coeff in _recursion_contributions(alpha, marked):
             matrix[index[key]][c] = matrix[index[key]][c] + coeff
-    rhs = [RatFuncN(0)] * len(row_keys)
+    rhs: list[RatFuncN | int] = [0] * len(row_keys)
     for beta in enumerate_partitions(n - 1):
         rhs[index[(0, beta)]] = rhs_scale * prev[beta]
     solution = solve_linear_system(matrix, rhs)

@@ -119,6 +119,30 @@ def test_largen_finite_n_order_cap(capsys):
     assert "order <= 4" in err
 
 
+def test_largen_order_caps(capsys):
+    # every route ends in bounded time: past its cap the CLI exits 2
+    for argv, cap in ((("wd",), 38), (("ww",), 38),
+                      (("wd", "--method", "fixedpoint"), 16),
+                      (("wd", "--compare"), 16),
+                      (("wd", "--method", "closed", "--compare"), 16)):
+        code, out, err = run(capsys, "largen", *argv, "--order",
+                             str(cap + 1))
+        assert code == 2, argv
+        assert out == ""
+        assert "order <= %d" % cap in err, argv
+    code, out, err = run(capsys, "largen", "wd", "--order", "100000")
+    assert code == 2 and "order <= 38" in err
+
+
+def test_largen_compare_below_finite_n_cap(capsys):
+    # above order 4 the finite-N route drops out of --compare silently
+    code, payload = run_json(capsys, "largen", "wd", "--order", "5",
+                             "--compare")
+    assert code == 0
+    assert payload["compare"]["methods"] == ["fixedpoint"]
+    assert payload["compare"]["identical"] is True
+
+
 def test_largen_ww_rejects_compare(capsys):
     code, _, _ = run(capsys, "largen", "ww", "--order", "2", "--compare")
     assert code == 2
@@ -236,6 +260,8 @@ def test_verify_tables_suite(capsys):
     names = [c["name"] for c in payload["suites"]["tables"]["checks"]]
     assert "weingarten n=4 vs packaged" in names
     assert "su-shifted n=5 dual route" in names
+    assert "weingarten n=7 dual route" in names
+    assert "su-shifted n=7 dual route" in names
 
 
 def test_verify_shift_and_largen_suites(capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sunint.exactmath import (
     N,
@@ -194,3 +196,105 @@ def test_solver_mixed_scalar_entries():
         [Fraction(3, 2), RatFuncN(N**2 + 1, N)])
     assert x[0] == 1
     assert x[1] == 1
+
+
+def test_solver_rank_deficient_systems():
+    # second column is N times the first: rank 1 over Q(N) at every N
+    with pytest.raises(RankDeficientError):
+        solve_linear_system([[N, N**2], [1, N], [N + 2, N**2 + 2 * N]],
+                            [1, 2, 3])
+    # constant matrix of rank 1, consistent right-hand side
+    with pytest.raises(RankDeficientError):
+        solve_linear_system([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+    # a zero column
+    with pytest.raises(RankDeficientError):
+        solve_linear_system([[N, 0], [1, 0], [N**2, 0]], [N, 1, N**2])
+
+
+def test_solver_inconsistent_systems():
+    with pytest.raises(InconsistentSystemError):
+        solve_linear_system([[1], [N]], [1, 1])
+    # the second row agrees with x = 1 at N = 1..6 and nowhere else, so the
+    # first sampled points are all consistent
+    bump = (N - 1) * (N - 2) * (N - 3) * (N - 4) * (N - 5) * (N - 6)
+    with pytest.raises(InconsistentSystemError):
+        solve_linear_system([[1], [1]], [1, 1 + bump])
+    with pytest.raises(InconsistentSystemError):
+        solve_linear_system([[N, 1], [1, N], [N + 1, N + 1]],
+                            [1, 1, RatFuncN(1, N)])
+
+
+def test_solver_skips_rank_drops_and_poles():
+    # the matrix is singular at N = 1 and N = 2, the sampled points the
+    # solver meets first; the entries have poles at N = 1, 2, 3
+    (x,) = solve_linear_system([[(N - 1) * (N - 2)]], [1])
+    assert x == RatFuncN(1, (N - 1) * (N - 2))
+    x, y = solve_linear_system(
+        [[RatFuncN(1, N - 1), 1], [1, RatFuncN(N, N - 3)], [2, 2]],
+        [RatFuncN(N, N - 1), RatFuncN(2 * N - 3, N - 3), 4])
+    assert (x, y) == (RatFuncN(1), RatFuncN(1))
+    # a solution with a pole at a point where the matrix has full rank is
+    # impossible, so every full-rank point yields a finite value
+    (x,) = solve_linear_system([[N**2 - 4], [N + 2]], [N + 1, RatFuncN(
+        N + 1, N - 2)])
+    assert x == RatFuncN(N + 1, N**2 - 4)
+
+
+_POLE_FACTORS = [N, N - 1, N - 2, N + 1, N + 3, N**2 + 1]
+
+
+@st.composite
+def _known_system(draw):
+    """A random full-rank overdetermined system with a known solution whose
+    entries may have poles at N = 0, 1, 2 (the first points sampled)."""
+    small = st.integers(-3, 3)
+    k = draw(st.integers(1, 4))
+    extra = draw(st.integers(1, 2))
+
+    def poly(max_deg):
+        return PolyN(draw(st.lists(small, min_size=1,
+                                   max_size=max_deg + 1)))
+
+    target = []
+    for _ in range(k):
+        den = PolyN([draw(st.integers(1, 3))])
+        for f in draw(st.lists(st.sampled_from(_POLE_FACTORS),
+                               max_size=3)):
+            den = den * f
+        target.append(RatFuncN(poly(3), den))
+    # upper-triangular block with nonzero diagonal: full rank over Q(N)
+    rows = []
+    for i in range(k):
+        diag = PolyN([draw(st.sampled_from([1, -1, 2, -3])),
+                      *draw(st.lists(small, max_size=2))])
+        rows.append([poly(2) if j > i else (diag if j == i else PolyN())
+                     for j in range(k)])
+    for _ in range(extra):
+        rows.append([poly(2) for _ in range(k)])
+    # mix rows and give some of them rational entries; rank is unchanged
+    for i in range(len(rows)):
+        j = draw(st.integers(0, len(rows) - 1))
+        c = draw(small)
+        if j != i and c:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    for i in range(len(rows)):
+        if draw(st.booleans()):
+            div = draw(st.sampled_from(_POLE_FACTORS))
+            rows[i] = [RatFuncN(a, div) for a in rows[i]]
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    rhs = []
+    for row in rows:
+        acc = RatFuncN(0)
+        for a, t in zip(row, target):
+            acc = acc + a * t
+        rhs.append(acc)
+    return rows, rhs, target
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_known_system())
+def test_solver_property_recovers_known_solution(system):
+    rows, rhs, target = system
+    assert solve_linear_system(rows, rhs) == target

@@ -62,7 +62,7 @@ def test_shift_table_matches_reference():
 
 
 def test_recursive_equals_shift():
-    for n in range(6):
+    for n in range(8):
         ts = shifted_table(n)
         tr = shifted_table_recursive(n)
         for alpha in ts.entries:
@@ -100,6 +100,23 @@ def test_shift_identity_report():
     # the n=2 numerator is the hand-checkable case: entry * N^2(N^2-1) = -N
     rep2 = {e["partition"]: e for e in check_shift_identity(2)}
     assert rep2["2^1"]["numerator"] == "-N"
+
+
+def test_shift_identity_report_n6_double_poles():
+    # from n = 6 the N^2 (N^2-1) ... (N^2-25) factor leaves the double poles
+    # at N = +-1 of most balanced entries in place: no numerator, not ok
+    report = check_shift_identity(6)
+    assert len(report) == 11
+    ok = [row["partition"] for row in report if row["ok"]]
+    assert ok == ["1^1 5^1", "6^1"]
+    for row in report:
+        if row["ok"]:
+            assert row["numerator"] is not None
+        else:
+            assert row["numerator"] is None
+    rows = {row["partition"]: row for row in report}
+    assert rows["6^1"]["numerator"] == "-5040*N"
+    assert rows["1^1 5^1"]["numerator"] == "2016*N^2 - 20160"
 
 
 def _fixed_sources(dim):

@@ -40,7 +40,7 @@ def test_character_table_matches_reference():
 
 
 def test_recursive_equals_character():
-    for n in range(6):
+    for n in range(8):
         tc = weingarten_table_character(n)
         tr = weingarten_table_recursive(n)
         for alpha in tc.entries:
