@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface via main(argv)."""
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,42 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
     assert "N=2" in err
 
 
+# Every branch of the (group, p, n, N) sector rule, as mc reports it.  The
+# exact values are pinned as printed, so a change to the sector dispatch or
+# to the table-weighted sums shows here bit for bit.
+@pytest.mark.parametrize("group, p, n, dim, sector, exact", [
+    ("unitary", 2, 1, 3, "unbalanced", [0.0, 0.0]),
+    ("special-unitary", 2, 1, 3, "charge-mismatch", [0.0, 0.0]),
+    ("special-unitary", 0, 0, 3, "trivial", [1.0, 0.0]),
+    ("unitary", 0, 0, 2, "trivial", [1.0, 0.0]),
+    ("special-unitary", 1, 1, 3, "balanced",
+     [0.09605459414849252, -0.18359445629574903]),
+    ("unitary", 2, 2, 3, "balanced",
+     [-0.042755854749760805, -0.03484492624799758]),
+    ("special-unitary", 3, 3, 3, "balanced-high-weight", None),
+    ("unitary", 3, 3, 3, "balanced-high-weight", None),
+    ("special-unitary", 9, 9, 10, "balanced-high-weight", None),
+    ("special-unitary", 3, 0, 3, "shifted",
+     [-0.028863103971991672, 0.39375673173055853]),
+    ("special-unitary", 4, 1, 3, "shifted",
+     [0.2085573580109028, 0.1293637468210834]),
+    ("special-unitary", 5, 2, 3, "shifted",
+     [0.10360132297384726, -0.08918268414974188]),
+    ("special-unitary", 6, 0, 3, "outside-range", None),
+    ("special-unitary", 0, 3, 3, "outside-range", None),
+    ("special-unitary", 6, 3, 3, "outside-range", None),
+    ("special-unitary", 19, 9, 10, "outside-range", None),
+])
+def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
+    code, payload = run_json(capsys, "mc", "--p", str(p), "--n", str(n),
+                             "--N", str(dim), "--group", group,
+                             "--samples", "200")
+    assert code == 0
+    assert payload["sector"] == sector
+    assert payload["exact"] == exact
+    assert (payload["comparison"] is None) == (exact is None)
+
+
 def test_mc_output_deterministic(capsys):
     args = ("mc", "--p", "1", "--n", "1", "--N", "2", "--samples", "2000",
             "--seed", "9")
@@ -237,6 +275,30 @@ def test_tensor_balanced_high_weight_has_no_exact_value(capsys):
     assert payload["exact"] is None
 
 
+@pytest.mark.parametrize("group, u, udagger, dim, sector, exact", [
+    ("unitary", "1:1", "", 3, "unbalanced", "0"),
+    ("special-unitary", "1:1", "", 3, "charge-mismatch", "0"),
+    ("special-unitary", "1:1", "1:1", 3, "balanced", "1/3"),
+    ("special-unitary", "", "", 2, "balanced", "1"),
+    ("unitary", "", "", 1, "balanced", "1"),
+    ("unitary", "1:2,2:1", "2:1,1:2", 3, "balanced", "1/8"),
+    ("special-unitary", "1:1,2:2", "1:1,2:2", 2, "balanced-high-weight",
+     None),
+    ("unitary", "1:1,2:2", "1:1,2:2", 2, "balanced-high-weight", None),
+    ("special-unitary", "1:2,2:1", "", 2, "epsilon", "-1/2"),
+    ("special-unitary", "1:1,2:2,3:3", "", 3, "epsilon", "1/6"),
+    ("special-unitary", "1:1,2:2,1:1", "1:1", 2, "outside-range", None),
+    ("special-unitary", "1:1,1:1", "", 1, "outside-range", None),
+    ("special-unitary", "", "1:1,2:2", 2, "outside-range", None),
+])
+def test_tensor_sector_table(capsys, group, u, udagger, dim, sector, exact):
+    code, payload = run_json(capsys, "tensor", "--N", str(dim), "--u", u,
+                             "--udagger", udagger, "--group", group)
+    assert code == 0
+    assert payload["sector"] == sector
+    assert payload["exact"] == exact
+
+
 def test_tensor_mc_cross_check(capsys):
     code, payload = run_json(capsys, "tensor", "--N", "2",
                              "--u", "1:1", "--udagger", "1:1",
@@ -277,6 +339,19 @@ def test_verify_mc_suite_small(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert len(payload["suites"]["mc"]["checks"]) == 9
+
+
+def test_exact_cli_outputs_match_goldens(capsys):
+    # the sha256 of stdout for each exact CLI call pinned by the benchmark
+    goldens_path = Path(__file__).resolve().parents[1] / "bench/goldens.json"
+    goldens = json.loads(goldens_path.read_text())
+    assert len(goldens) == 17
+    differ = []
+    for call, want in sorted(goldens.items()):
+        code, out, _ = run(capsys, *call.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != want:
+            differ.append(call)
+    assert differ == []
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
