@@ -21,9 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .exactmath import RatFuncN
+from .exactmath import RatFuncN, format_poly
 from .haar_mc import (
     SPECIAL_UNITARY,
     UNITARY,
@@ -85,10 +83,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _frac_latex(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
@@ -97,8 +91,6 @@ def _frac_latex(x: Fraction) -> str:
 
 
 def _ratfunc_latex(val: RatFuncN) -> str:
-    from .exactmath import format_poly
-
     num = format_poly(val.num)
     if val.is_polynomial:
         if val.den.leading == 1:
@@ -155,7 +147,7 @@ def _series_payload(series: TraceSeries, target: str, method: str) -> dict:
             "grade": grade,
             "kappa_power": grade * series.kappa_power_per_grade,
             "partition": alpha.to_string(),
-            "coefficient": _frac_str(coeff),
+            "coefficient": str(coeff),
         })
     return {"target": target, "order": series.max_order,
         "method": method, "trace_symbol": series.trace_symbol,
@@ -176,13 +168,12 @@ def _series_latex(series: TraceSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _wd_series(method: str, order: int) -> TraceSeries:
-    if method == "closed":
-        return shifted_free_energy_closed(order)
-    if method == "fixedpoint":
-        return shifted_free_energy_fixedpoint(order)
-    return shifted_free_energy_from_tables(order)
-
+_SERIES = {
+    ("wd", "closed"): shifted_free_energy_closed,
+    ("wd", "fixedpoint"): shifted_free_energy_fixedpoint,
+    ("wd", "finite-n"): shifted_free_energy_from_tables,
+    ("ww", "closed"): strong_coupling_series,
+}
 
 # Largest --order per route, so every call ends in bounded time.  On a
 # 2-vCPU box closed and ww take 9 s at order 38 (11 s at 39), and the fixed
@@ -194,27 +185,15 @@ def _cmd_largen(args: argparse.Namespace) -> int:
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return 2
-    if args.target == "ww":
-        if args.method not in (None, "closed"):
-            print("error: target 'ww' supports only --method closed",
-                  file=sys.stderr)
-            return 2
-        if args.compare:
-            print("error: --compare applies to target 'wd' only",
-                  file=sys.stderr)
-            return 2
-        if args.order > _ORDER_CAPS["closed"]:
-            print("error: target 'ww' supports --order <= %d"
-                  % _ORDER_CAPS["closed"], file=sys.stderr)
-            return 2
-        series = strong_coupling_series(args.order)
-        payload = _series_payload(series, "ww", "closed")
-        text = (_series_latex(series) if args.format == "latex"
-                else _json_text(payload))
-        _emit(text, args.output)
-        return 0
-
     method = args.method or "closed"
+    if (args.target, method) not in _SERIES:
+        print("error: target 'ww' supports only --method closed",
+              file=sys.stderr)
+        return 2
+    if args.compare and args.target == "ww":
+        print("error: --compare applies to target 'wd' only",
+              file=sys.stderr)
+        return 2
     if args.order > _ORDER_CAPS[method]:
         print("error: --method %s supports --order <= %d"
               % (method, _ORDER_CAPS[method]), file=sys.stderr)
@@ -223,25 +202,24 @@ def _cmd_largen(args: argparse.Namespace) -> int:
         print("error: --compare runs --method fixedpoint, which supports "
               "--order <= %d" % _ORDER_CAPS["fixedpoint"], file=sys.stderr)
         return 2
-    series = _wd_series(method, args.order)
-    payload = _series_payload(series, "wd", method)
+    series = _SERIES[(args.target, method)](args.order)
+    payload = _series_payload(series, args.target, method)
     status = 0
     if args.compare:
         others = [m for m in ("closed", "fixedpoint", "finite-n")
                   if m != method and args.order <= _ORDER_CAPS[m]]
         mismatches = []
         for other in others:
-            alt = _wd_series(other, args.order)
-            if alt != series:
-                keys = set(series.terms) | set(alt.terms)
-                for key in sorted(keys, key=lambda k: (k[0], str(k[1]))):
-                    a = series.terms.get(key, Fraction(0))
-                    b = alt.terms.get(key, Fraction(0))
-                    if a != b:
-                        mismatches.append({
-                            "method": other, "grade": key[0],
-                            "partition": key[1].to_string(),
-                            "expected": _frac_str(a), "got": _frac_str(b)})
+            alt = _SERIES[("wd", other)](args.order)
+            keys = set(series.terms) | set(alt.terms)
+            for key in sorted(keys, key=lambda k: (k[0], str(k[1]))):
+                a = series.terms.get(key, Fraction(0))
+                b = alt.terms.get(key, Fraction(0))
+                if a != b:
+                    mismatches.append({
+                        "method": other, "grade": key[0],
+                        "partition": key[1].to_string(),
+                        "expected": str(a), "got": str(b)})
         payload["compare"] = {"methods": others,
                               "identical": not mismatches,
                               "mismatches": mismatches}
@@ -260,6 +238,26 @@ def _group_spec(name: str, dim: int) -> GroupSpec:
     return GroupSpec(group, dim)
 
 
+def _sector(group: str, p: int, n: int, dim: int, cap: int) -> str:
+    """Sector of an integral with p factors of U and n of U-dagger over
+    U(dim) or SU(dim): the value is zero in "unbalanced" (U(dim), p != n)
+    and "charge-mismatch" (SU(dim), p - n not a multiple of dim).  The
+    balanced (p = n) and shifted (p = n + dim) sectors are known exactly for
+    weight n < dim up to the cap; above it they are "balanced-high-weight"
+    and "outside-range", as is every other p - n."""
+    if group == UNITARY and p != n:
+        return "unbalanced"
+    if (p - n) % dim:
+        return "charge-mismatch"
+    known = n < dim and n <= cap
+    if p == n:
+        return "balanced" if known else "balanced-high-weight"
+    return "shifted" if p - n == dim and known else "outside-range"
+
+
+_ZERO_SECTORS = ("unbalanced", "charge-mismatch")
+
+
 def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
                         group: str) -> tuple[complex | None, str]:
     """Exact value of the (p, n) trace-moment integral when known.
@@ -267,34 +265,24 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
     Returns (value, sector label); value is None when the sector is
     outside the implemented range.
     """
-    dim = src.dim
-    if group == "unitary":
-        if p != n:
-            return 0.0, "unbalanced"
+    sector = _sector(group, p, n, src.dim, MAX_WEIGHT)
+    if sector in _ZERO_SECTORS:
+        return 0.0, sector
+    if sector == "balanced":
         if n == 0:
             return 1.0, "trivial"
-        if n < dim and n <= MAX_WEIGHT:
-            return complex(eval_ordinary(n, src)), "balanced"
-        return None, "balanced-high-weight"
-    diff = p - n
-    if diff % dim != 0:
-        return 0.0, "charge-mismatch"
-    if diff == 0:
-        if n == 0:
-            return 1.0, "trivial"
-        if n < dim and n <= MAX_WEIGHT:
-            return complex(eval_ordinary(n, src)), "balanced"
-        return None, "balanced-high-weight"
-    if diff == dim and n < dim and n <= MAX_WEIGHT:
-        val = complex(np.linalg.det(src.K)) if n == 0 \
-            else complex(eval_shifted(n, src))
-        return val, "shifted"
-    return None, "outside-range"
+        return complex(eval_ordinary(n, src)), sector
+    if sector == "shifted":
+        return complex(eval_shifted(n, src)), sector
+    return None, sector
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     if args.p < 0 or args.n < 0:
         print("error: --p and --n must be >= 0", file=sys.stderr)
+        return 2
+    if args.N < 1:
+        print("error: --N must be >= 1", file=sys.stderr)
         return 2
     if args.matrices:
         src = SourceMatrices.from_json_file(args.matrices)
@@ -343,6 +331,20 @@ def _parse_index_pairs(text: str) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
+def _exact_monomial(i: list[int], j: list[int], k: list[int], l: list[int],
+                    dim: int, group: str) -> tuple[Fraction | None, str]:
+    """Exact value of one tensor-level integral when known, with its sector
+    label; the shifted sector is known here only at n = 0 (epsilon)."""
+    sector = _sector(group, len(i), len(k), dim, MAX_TENSOR_WEIGHT)
+    if sector in _ZERO_SECTORS:
+        return Fraction(0), sector
+    if sector == "balanced":
+        return monomial_integral(i, j, k, l, dim), sector
+    if sector == "shifted" and not k:
+        return epsilon_integral(i, j, dim), "epsilon"
+    return None, "outside-range" if sector == "shifted" else sector
+
+
 def _cmd_tensor(args: argparse.Namespace) -> int:
     try:
         i, j = _parse_index_pairs(args.u)
@@ -351,37 +353,17 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         print("error: index lists look like '1:2,3:1'", file=sys.stderr)
         return 2
     dim = args.N
-    p, n = len(i), len(k)
-    if max(p, n) > MAX_TENSOR_WEIGHT:
+    if dim < 1:
+        print("error: --N must be >= 1", file=sys.stderr)
+        return 2
+    if max(len(i), len(k)) > MAX_TENSOR_WEIGHT:
         print("error: at most %d factors of each kind"
               % MAX_TENSOR_WEIGHT, file=sys.stderr)
         return 2
-    if any(x < 1 for x in i + j + k + l):
-        print("error: indices are 1-based", file=sys.stderr)
+    if any(not 1 <= x <= dim for x in i + j + k + l):
+        print("error: indices must be in 1..%d" % dim, file=sys.stderr)
         return 2
-
-    exact: Fraction | None = None
-    sector = "outside-range"
-    if args.group == "unitary":
-        if p != n:
-            exact, sector = Fraction(0), "unbalanced"
-        elif p < dim:
-            exact, sector = monomial_integral(i, j, k, l, dim), "balanced"
-        else:
-            sector = "balanced-high-weight"
-    else:
-        diff = p - n
-        if diff % dim != 0:
-            exact, sector = Fraction(0), "charge-mismatch"
-        elif diff == 0:
-            if p < dim:
-                exact, sector = monomial_integral(i, j, k, l, dim), \
-                    "balanced"
-            else:
-                sector = "balanced-high-weight"
-        elif diff == dim and n == 0:
-            exact, sector = epsilon_integral(i, j, dim), "epsilon"
-
+    exact, sector = _exact_monomial(i, j, k, l, dim, args.group)
     payload = {"N": dim, "group": args.group, "sector": sector,
                "u": args.u, "udagger": args.udagger,
                "exact": None if exact is None else str(exact),
@@ -406,10 +388,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 def _suite_tables() -> list[dict]:
     checks = []
     for family in (WEINGARTEN, SU_SHIFTED):
-        primary, secondary = ((weingarten_table_character,
-                               weingarten_table_recursive)
-                              if family == WEINGARTEN else
-                              (shifted_table, shifted_table_recursive))
+        primary = _TABLE_BUILDERS[(family, _DEFAULT_METHOD[family])]
+        secondary = _TABLE_BUILDERS[(family, "recursion")]
         for n in reference_weights(family):
             ref = reference_table(family, n)
             got = primary(n)
@@ -460,17 +440,18 @@ def _suite_mc(samples: int, seed: int) -> list[dict]:
     src = random_source_matrices(dim, seed)
     su = GroupSpec(SPECIAL_UNITARY, dim)
     cases = [
-        ("Z(1,1) balanced", 1, 1, complex(eval_ordinary(1, src))),
-        ("Z(2,2) balanced", 2, 2, complex(eval_ordinary(2, src))),
-        ("Z(3,0) pure det", 3, 0, complex(np.linalg.det(src.K))),
-        ("Z(4,1) shifted", 4, 1, complex(eval_shifted(1, src))),
-        ("Z(5,2) shifted", 5, 2, complex(eval_shifted(2, src))),
-        ("Z(2,1) charge mismatch", 2, 1, 0.0),
-        ("Z(3,1) charge mismatch", 3, 1, 0.0),
+        ("Z(1,1) balanced", 1, 1),
+        ("Z(2,2) balanced", 2, 2),
+        ("Z(3,0) pure det", 3, 0),
+        ("Z(4,1) shifted", 4, 1),
+        ("Z(5,2) shifted", 5, 2),
+        ("Z(2,1) charge mismatch", 2, 1),
+        ("Z(3,1) charge mismatch", 3, 1),
     ]
-    for name, p, n, exact in cases:
+    for name, p, n in cases:
         est = estimate_trace_moment(p, n, src, su,
                                     samples=samples, seed=seed)
+        exact, _ = _exact_trace_moment(p, n, src, su.group)
         report = compare(est, exact)
         checks.append({"name": name, "pass": report["pass"],
                        "pull": [report["pull_real"],
@@ -479,8 +460,8 @@ def _suite_mc(samples: int, seed: int) -> list[dict]:
     for cols in ([1, 2], [2, 1]):
         est = estimate_monomial([1, 2], cols, [], [], su2,
                                 samples=samples, seed=seed)
-        exact = complex(epsilon_integral([1, 2], cols, 2))
-        report = compare(est, exact)
+        exact, _ = _exact_monomial([1, 2], cols, [], [], 2, su2.group)
+        report = compare(est, complex(exact))
         checks.append({"name": "SU(2) bare pair cols=%s" % (cols,),
                        "pass": report["pass"],
                        "pull": [report["pull_real"],

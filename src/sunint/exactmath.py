@@ -88,6 +88,8 @@ class PolyN:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: PolyN | Scalar) -> PolyN:
+        if not isinstance(other, (PolyN, int, Fraction)):
+            return NotImplemented
         other = _as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
@@ -100,9 +102,13 @@ class PolyN:
         return PolyN(-c for c in self.coeffs)
 
     def __sub__(self, other: PolyN | Scalar) -> PolyN:
+        if not isinstance(other, (PolyN, int, Fraction)):
+            return NotImplemented
         return self + (-_as_poly(other))
 
     def __rsub__(self, other: PolyN | Scalar) -> PolyN:
+        if not isinstance(other, (PolyN, int, Fraction)):
+            return NotImplemented
         return _as_poly(other) + (-self)
 
     def __mul__(self, other: PolyN | Scalar) -> PolyN:
@@ -370,10 +376,6 @@ class RatFuncN:
 
     def __repr__(self) -> str:
         return f"RatFuncN({self})"
-
-
-RATFUNC_ZERO = RatFuncN(0)
-RATFUNC_ONE = RatFuncN(1)
 
 
 def _as_ratfunc(x: RatFuncN | PolyN | Scalar) -> RatFuncN:

@@ -115,11 +115,6 @@ class TraceSeries:
         return NotImplemented
 
 
-def catalan_series(order: int) -> list[int]:
-    """[Cat(0), ..., Cat(order)]."""
-    return [catalan(m) for m in range(order + 1)]
-
-
 def shifted_free_energy_closed(order: int) -> TraceSeries:
     """Determinant-sector limit free energy from the closed formula: the
     grade-n coefficient of the monomial for alpha (with c parts) is

@@ -144,10 +144,6 @@ class YoungDiagram:
             raise ValueError("rows must be weakly decreasing")
         self.rows: tuple[int, ...] = rows
 
-    @classmethod
-    def from_partition(cls, alpha: Partition) -> YoungDiagram:
-        return cls(alpha.parts)
-
     @property
     def weight(self) -> int:
         return sum(self.rows)

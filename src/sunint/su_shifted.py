@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ from .weingarten import (
     CoeffTable,
     SectorError,
     SourceMatrices,
+    _cycle_type,
+    _trace_sum,
     recursion_step,
     weingarten_table_character,
 )
@@ -34,21 +36,8 @@ def _levi_civita(indices: Sequence[int], dim: int) -> int:
     """Sign of the index tuple as a permutation of 1..dim; 0 on repeats."""
     if sorted(indices) != list(range(1, dim + 1)):
         return 0
-    perm = [x - 1 for x in indices]
-    sign = 1
-    seen = [False] * dim
-    for start in range(dim):
-        if seen[start]:
-            continue
-        length = 0
-        a = start
-        while not seen[a]:
-            seen[a] = True
-            a = perm[a]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    cycles = _cycle_type([x - 1 for x in indices]).num_parts
+    return (-1) ** (dim - cycles)
 
 
 def epsilon_integral(i: Sequence[int], j: Sequence[int],
@@ -62,14 +51,6 @@ def epsilon_integral(i: Sequence[int], j: Sequence[int],
                     factorial(dim))
 
 
-def _rising_product(n: int) -> PolyN:
-    """(N+n)(N+n-1)...(N+1); the empty product (n=0) is 1."""
-    out = PolyN([1])
-    for k in range(1, n + 1):
-        out = out * (N + k)
-    return out
-
-
 @lru_cache(maxsize=None)
 def shifted_table(n: int) -> CoeffTable:
     """Determinant-sector table via the dimension-shift relation:
@@ -77,7 +58,7 @@ def shifted_table(n: int) -> CoeffTable:
     if n < 0:
         raise ValueError("weight must be nonnegative")
     base = weingarten_table_character(n)
-    scale = _rising_product(n)
+    scale = prod((N + k for k in range(1, n + 1)), start=PolyN([1]))
     entries = {a: scale * v.shifted(1) for a, v in base.entries.items()}
     return CoeffTable(n=n, family="su-shifted", entries=entries)
 
@@ -110,11 +91,7 @@ def eval_shifted(n: int, src: SourceMatrices) -> complex:
     det_k = complex(np.linalg.det(src.K))
     if n == 0:
         return det_k
-    table = shifted_table(n)
-    total = complex(0)
-    for alpha, coeff in table.entries.items():
-        total += float(coeff.evaluate(src.dim)) * src.trace_monomial(alpha)
-    return det_k * total
+    return det_k * _trace_sum(shifted_table(n), src)
 
 
 def check_shift_identity(n: int) -> list[dict]:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 from typing import Sequence
 
@@ -91,6 +91,8 @@ class SourceMatrices:
         k = np.asarray(self.K, dtype=complex)
         if j.shape != k.shape or j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("J and K must be square matrices of equal size")
+        if not (np.isfinite(j).all() and np.isfinite(k).all()):
+            raise ValueError("J and K must have finite entries")
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "K", k)
 
@@ -108,17 +110,8 @@ class SourceMatrices:
             out.append(complex(np.trace(power)))
         return out
 
-    def trace_monomial(self, alpha: Partition) -> complex:
-        t = self.trace_powers(max((q for q, _ in alpha.items()), default=0))
-        value = complex(1)
-        for q, m in alpha.items():
-            value *= t[q - 1] ** m
-        return value
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> SourceMatrices:
-        dim = int(payload["N"])
-
         def decode(data):
             # primary layout: N*N entries as [re, im] pairs, row-major;
             # a nested row-of-rows layout is accepted as well
@@ -133,7 +126,12 @@ class SourceMatrices:
                     return mat
             raise ValueError("matrix entries do not match N")
 
-        return cls(decode(payload["J"]), decode(payload["K"]))
+        try:
+            dim = int(payload["N"])
+            return cls(decode(payload["J"]), decode(payload["K"]))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError("source matrices must be an object with N, J "
+                             "and K, entries as [re, im] numbers") from exc
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> SourceMatrices:
@@ -276,9 +274,8 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
     if n >= dim:
         raise SectorError(
             f"weight {n} not below dimension {dim}: outside validity domain")
-    for lists in (i, j, k, l):
-        if any(x < 1 for x in lists):
-            raise ValueError("indices are 1-based")
+    if any(not 1 <= x <= dim for x in (*i, *j, *k, *l)):
+        raise ValueError(f"indices must be in 1..{dim}")
     if n == 0:
         return Fraction(1)
 
@@ -308,8 +305,16 @@ def eval_ordinary(n: int, src: SourceMatrices) -> complex:
             f"weight {n} not below dimension {src.dim}: outside validity domain")
     if n == 0:
         return complex(1)
-    table = weingarten_table_character(n)
+    return factorial(n) * _trace_sum(weingarten_table_character(n), src)
+
+
+def _trace_sum(table: CoeffTable, src: SourceMatrices) -> complex:
+    """Sum over alpha of entry(alpha) at N = dim times t_alpha, with the
+    traces t_q = tr((JK)^q) computed once for the whole table."""
+    t = src.trace_powers(table.n)
     total = complex(0)
     for alpha, coeff in table.entries.items():
-        total += float(coeff.evaluate(src.dim)) * src.trace_monomial(alpha)
-    return factorial(n) * total
+        monomial = prod((t[q - 1] ** m for q, m in alpha.items()),
+                        start=complex(1))
+        total += float(coeff.evaluate(src.dim)) * monomial
+    return total

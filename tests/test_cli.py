@@ -223,6 +223,27 @@ def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
     assert (payload["comparison"] is None) == (exact is None)
 
 
+EYE2 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"N": 2, "J": [["1", "0"]] + EYE2[1:], "K": EYE2}),
+    json.dumps({"J": EYE2, "K": EYE2}),
+    json.dumps([2, EYE2, EYE2]),
+    json.dumps({"N": 2, "J": [[float("nan"), 0.0]] + EYE2[1:], "K": EYE2}),
+    json.dumps({"N": 2, "J": [[1.0, 0.0, 0.0]] + EYE2[1:], "K": EYE2}),
+], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
+        "wrong-arity"])
+def test_mc_malformed_matrices_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "src.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "mc", "--p", "1", "--n", "1", "--N", "2",
+                         "--samples", "200", "--matrices", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_mc_output_deterministic(capsys):
     args = ("mc", "--p", "1", "--n", "1", "--N", "2", "--samples", "2000",
             "--seed", "9")
@@ -306,6 +327,31 @@ def test_tensor_mc_cross_check(capsys):
     assert code == 0
     assert payload["exact"] == "1/2"
     assert payload["comparison"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "--p", "1", "--n", "1", "--N", "0", "--samples", "200"),
+    ("mc", "--p", "0", "--n", "0", "--N", "-1", "--samples", "200"),
+    ("tensor", "--N", "0"),
+    ("tensor", "--N", "-2", "--u", "1:1"),
+])
+def test_dimension_below_1_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--N must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--N", "3", "--u", "5:5", "--udagger", "5:5", "--group", "unitary"),
+    ("--N", "2", "--u", "1:3,2:1"),
+    ("--N", "2", "--u", "1:1", "--udagger", "0:1"),
+])
+def test_tensor_index_outside_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, "tensor", *argv)
+    assert code == 2
+    assert out == ""
+    assert "indices must be in 1.." in err
 
 
 def test_tensor_bad_index_syntax(capsys):

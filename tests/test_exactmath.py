@@ -30,6 +30,15 @@ def test_poly_basics():
     assert p.shifted(1) == N**2 + 2 * N
 
 
+def test_poly_and_ratfunc_add_sub_in_both_orders():
+    p, r = N + 1, RatFuncN(1, N)
+    total = RatFuncN(N**2 + N + 1, N)
+    assert p + r == total and r + p == total
+    assert p - r == RatFuncN(N**2 + N - 1, N)
+    assert r - p == RatFuncN(-N**2 - N + 1, N)
+    assert (p + r) - r == p and p - (p - r) == r
+
+
 def test_poly_divmod_exact():
     p = N**3 - 6 * N**2 + 11 * N - 6          # (N-1)(N-2)(N-3)
     q, r = p.divmod(N - 2)

@@ -83,7 +83,7 @@ def test_json_schema():
 
 def test_monomial_integral_basics():
     assert monomial_integral([1], [1], [1], [1], 3) == Fraction(1, 3)
-    assert monomial_integral([1], [2], [3], [4], 3) == 0
+    assert monomial_integral([1], [2], [3], [3], 3) == 0
     assert monomial_integral([], [], [], [], 5) == 1
     # |U_11|^2 |U_22|^2 at dim 3: identity pairing only
     assert monomial_integral([1, 2], [1, 2], [1, 2], [1, 2], 3) == \
@@ -114,6 +114,15 @@ def test_monomial_integral_guards():
     with pytest.raises(ValueError):
         monomial_integral(list(range(1, 8)), list(range(1, 8)),
                           list(range(1, 8)), list(range(1, 8)), 20)
+
+
+def test_monomial_integral_rejects_indices_above_dim():
+    # an index past the dimension names no matrix element
+    for args in (([4], [1], [1], [1]), ([1], [1], [1], [4]),
+                 ([1, 2], [1, 1], [1, 1], [1, 4])):
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            monomial_integral(*args, 3)
+    assert monomial_integral([3], [3], [3], [3], 4) == Fraction(1, 4)
 
 
 def _fixed_sources(dim):
