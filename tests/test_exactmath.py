@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sunint.exactmath import (
@@ -126,28 +127,72 @@ def test_parse_matches_constructed():
     assert parse_ratfunc("(N + 1)/N") == RatFuncN(N + 1, N)
 
 
-def test_canonical_product_quotient_property():
-    rng = random.Random(20240815)
-    for _ in range(40):
-        a = _random_ratfunc(rng)
-        b = _random_ratfunc(rng)
-        if b.is_zero:
-            continue
-        assert (a * b) / b == a
+_coeff = st.one_of(st.integers(-6, 6),
+                   st.fractions(-3, 3, max_denominator=4))
+_poly = st.lists(_coeff, max_size=4).map(PolyN)
+_nonzero_poly = _poly.filter(bool)
+_ratfunc = st.builds(RatFuncN, _poly, _nonzero_poly)
 
 
-def test_evaluate_commutes_with_arithmetic():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = _random_ratfunc(rng)
-        b = _random_ratfunc(rng)
-        x = Fraction(rng.randint(2, 30), rng.randint(1, 5))
-        try:
-            lhs = (a * b + a).evaluate(x)
-            rhs = a.evaluate(x) * b.evaluate(x) + a.evaluate(x)
-        except ZeroDivisionError:
-            continue
-        assert lhs == rhs
+@given(_ratfunc, _ratfunc)
+def test_canonical_product_quotient_property(a, b):
+    assume(b)
+    assert (a * b) / b == a
+    assert (a / b) * b == a
+
+
+@given(_ratfunc, _ratfunc, st.fractions(-30, 30, max_denominator=5))
+def test_evaluate_commutes_with_arithmetic(a, b, x):
+    try:
+        lhs = (a * b + a).evaluate(x)
+        rhs = a.evaluate(x) * b.evaluate(x) + a.evaluate(x)
+    except ZeroDivisionError:
+        assume(False)
+    assert lhs == rhs
+
+
+@given(_poly, _nonzero_poly,
+       st.one_of(_coeff.filter(bool), _nonzero_poly))
+def test_canonical_form_is_unique(a, b, c):
+    f, g = RatFuncN(a * c, b * c), RatFuncN(a, b)
+    assert f.num.coeffs == g.num.coeffs and f.den.coeffs == g.den.coeffs
+    assert str(f) == str(g) and hash(f) == hash(g)
+    # integer coefficients, joint content 1, no common factor, den > 0
+    coeffs = [Fraction(c) for c in (*g.num.coeffs, *g.den.coeffs)]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert gcd(*(c.numerator for c in coeffs)) == 1
+    assert poly_gcd(g.num, g.den) == 1 and g.den.leading > 0
+
+
+@given(_ratfunc)
+def test_parse_str_round_trip(f):
+    g = parse_ratfunc(str(f))
+    assert g == f and str(g) == str(f)
+
+
+@given(_ratfunc, _ratfunc, st.integers(-20, 20), st.integers(-3, 3))
+def test_evaluation_is_a_homomorphism(a, b, x, delta):
+    try:
+        ax, bx = a.evaluate(x), b.evaluate(x)
+    except ZeroDivisionError:
+        assume(False)
+    assert (a + b).evaluate(x) == ax + bx
+    assert (a - b).evaluate(x) == ax - bx
+    assert (a * b).evaluate(x) == ax * bx
+    if bx:
+        assert (a / b).evaluate(x) == ax / bx
+    try:
+        shifted = a.evaluate(x + delta)
+    except ZeroDivisionError:
+        return
+    assert a.shifted(delta).evaluate(x) == shifted
+
+
+def test_float_arguments_are_rejected():
+    with pytest.raises(TypeError):
+        PolyN([1, 2])(2.5)
+    with pytest.raises(TypeError):
+        RatFuncN(N + 1, N).evaluate(0.5)
 
 
 def _random_ratfunc(rng):
