@@ -396,7 +396,7 @@ def _suite_tables() -> list[dict]:
             ok = all(got[alpha] == val for alpha, val in ref.items())
             checks.append({"name": "%s n=%d vs packaged" % (family, n),
                            "pass": ok})
-        for n in range(1, 8):
+        for n in range(1, MAX_WEIGHT + 1):
             ok = primary(n).entries == secondary(n).entries
             checks.append({"name": "%s n=%d dual route" % (family, n),
                            "pass": ok})

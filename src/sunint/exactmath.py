@@ -1,11 +1,11 @@
 """Exact arithmetic kernel: polynomials and rational functions of the matrix
 dimension N, plus exact linear solving over that field.
 
-All scalar coefficients are ``fractions.Fraction`` (arbitrary precision, always
-reduced).  ``PolyN`` is a dense univariate polynomial in the symbol N;
-``RatFuncN`` is a quotient of two such polynomials kept in a canonical reduced
-form, so equality of values is equality of representations and printed tables
-are byte-stable across runs.
+Coefficients are exact rationals: an ``int`` when integral, else a reduced
+``fractions.Fraction``.  ``PolyN`` is a dense univariate polynomial in the
+symbol N; ``RatFuncN`` is a quotient of two such polynomials kept in a
+canonical reduced form with integer coefficients, so equality of values is
+equality of representations and printed tables are byte-stable across runs.
 
 Everything here is immutable value semantics: operations return new objects
 and never mutate their arguments, so the types are safe to share across
@@ -15,7 +15,7 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -33,28 +33,30 @@ class InconsistentSystemError(LinearSystemError):
     """A redundant row of an overdetermined system is not satisfied."""
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _scalar(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else as a (reduced) Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class PolyN:
     """Dense polynomial in N with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of N**k; trailing zeros are trimmed, so
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    ``coeffs[k]`` is the coefficient of N**k, an ``int`` when it is integral
+    and a ``Fraction`` otherwise; trailing zeros are trimmed, so the zero
+    polynomial has an empty coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     # -- basic queries ----------------------------------------------------
 
@@ -67,7 +69,7 @@ class PolyN:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -92,8 +94,8 @@ class PolyN:
             return NotImplemented
         other = _as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = other.coeffs + (0,) * (n - len(other.coeffs))
         return PolyN(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -118,7 +120,7 @@ class PolyN:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return PolyN()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -140,13 +142,13 @@ class PolyN:
             k >>= 1
         return out
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: Scalar) -> Scalar:
         """Evaluate at N = x (Horner)."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        x = _scalar(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _scalar(acc)
 
     def shifted(self, delta: int = 1) -> PolyN:
         """The polynomial with N replaced by N + delta (Horner in N+delta)."""
@@ -162,14 +164,14 @@ class PolyN:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.leading
         for k in range(len(rem) - 1, d - 1, -1):
             c = rem[k]
             if c == 0:
                 continue
-            q = c / lead
+            q = Fraction(c, lead)
             quo[k - d] = q
             for j, b in enumerate(other.coeffs):
                 rem[k - d + j] -= q * b
@@ -180,14 +182,6 @@ class PolyN:
         if not r.is_zero:
             raise ValueError("polynomial division is not exact")
         return q
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if self.is_zero:
-            return Fraction(1)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        num = gcd(*(abs(c.numerator) for c in self.coeffs))
-        return Fraction(num, den)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -206,7 +200,7 @@ _POLY_ONE = PolyN([1])
 def _as_poly(x: PolyN | Scalar) -> PolyN:
     if isinstance(x, PolyN):
         return x
-    return PolyN([_as_fraction(x)])
+    return PolyN([x])
 
 
 def poly_gcd(a: PolyN, b: PolyN) -> PolyN:
@@ -215,7 +209,16 @@ def poly_gcd(a: PolyN, b: PolyN) -> PolyN:
         a, b = b, a.divmod(b)[1]
     if a.is_zero:
         return a
-    return a * (1 / a.leading)
+    return a * Fraction(1, a.leading)
+
+
+def _primitive(polys: Sequence[PolyN]) -> list[PolyN]:
+    """c * p for every p, with the one positive rational c that makes all
+    their coefficients coprime integers."""
+    cs = [c for p in polys for c in p.coeffs]
+    scale = _scalar(Fraction(lcm(*(c.denominator for c in cs)),
+                             gcd(*(c.numerator for c in cs)) or 1))
+    return [p * scale for p in polys]
 
 
 def format_poly(p: PolyN) -> str:
@@ -263,9 +266,7 @@ class RatFuncN:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        scale = num.content() / den.content()
-        num = num * (Fraction(scale.numerator) / num.content())
-        den = den * (Fraction(scale.denominator) / den.content())
+        num, den = _primitive([num, den])
         if den.leading < 0:
             num, den = -num, -den
         self.num, self.den = num, den
@@ -340,11 +341,10 @@ class RatFuncN:
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact substitution N = x; raises ZeroDivisionError at a pole."""
-        x = _as_fraction(x)
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"pole at N = {x}")
-        return self.num(x) / d
+        return Fraction(self.num(x), d)
 
     def shifted(self, delta: int = 1) -> RatFuncN:
         """The function with N replaced by N + delta, re-canonicalized."""
@@ -358,7 +358,7 @@ class RatFuncN:
         if gap > 0:
             return Fraction(0)
         if gap == 0:
-            return self.num.leading / self.den.leading
+            return Fraction(self.num.leading, self.den.leading)
         raise ValueError(f"diverges at large N: ({self})")
 
     def __str__(self) -> str:
@@ -516,18 +516,8 @@ def _num_den(x: RatFuncN | PolyN | Scalar) -> tuple[PolyN, PolyN]:
     return _as_poly(x), _POLY_ONE
 
 
-def _int_coeffs(polys: Sequence[PolyN]) -> list[list[int]]:
-    """Coefficient lists (ascending) of c * p for every p, with the one
-    positive rational c that makes them coprime integers."""
-    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    ints = [[c.numerator * (scale // c.denominator) for c in p.coeffs]
-            for p in polys]
-    g = gcd(*(c for p in ints for c in p)) or 1
-    return [[c // g for c in p] for p in ints]
-
-
 def _clear_row(entries: Sequence[tuple[PolyN, PolyN]]
-               ) -> tuple[list[list[int]], PolyN]:
+               ) -> tuple[list[PolyN], PolyN]:
     """Multiply one row, given as (numerator, denominator) pairs, by the lcm
     of its denominators and a constant so every entry is an integer
     polynomial.  Returns the cleared row and the lcm."""
@@ -535,20 +525,13 @@ def _clear_row(entries: Sequence[tuple[PolyN, PolyN]]
     for _, den in entries:
         if den.degree > 0:
             scale = scale * den.exact_div(poly_gcd(scale, den))
-    return _int_coeffs([
+    return _primitive([
         num * (scale.exact_div(den) if den.degree > 0
-               else scale * (1 / den.leading))
+               else scale * Fraction(1, den.leading))
         for num, den in entries]), scale
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _solve_at(rows: list[list[list[int]]], k: int,
+def _solve_at(rows: list[list[PolyN]], k: int,
               x: int) -> list[Fraction] | None:
     """Solve the cleared system at N = x by fraction-free (Bareiss)
     elimination over the integers.  Returns None when the evaluated matrix
@@ -556,7 +539,7 @@ def _solve_at(rows: list[list[list[int]]], k: int,
     but some row is violated."""
     mat = []
     for row in rows:
-        vals = [_horner(p, x) for p in row]
+        vals = [p(x) for p in row]
         g = gcd(*vals)
         mat.append([v // g for v in vals] if g > 1 else vals)
     m = len(mat)
@@ -598,15 +581,11 @@ def _newton(xs: Sequence[int], ys: Sequence[Fraction]) -> PolyN:
     c = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [c[-1]]                    # Horner in the Newton basis
+            c[i] = Fraction(c[i] - c[i - 1], xs[i] - xs[i - j])
+    poly = PolyN(c[-1:])                # Horner in the Newton basis
     for i in range(len(xs) - 2, -1, -1):
-        shifted = [Fraction(0), *coeffs]
-        for d, a in enumerate(coeffs):
-            shifted[d] -= a * xs[i]
-        shifted[0] += c[i]
-        coeffs = shifted
-    return PolyN(coeffs)
+        poly = poly * (N - xs[i]) + c[i]
+    return poly
 
 
 def _reconstruct(xs: Sequence[int], ys: Sequence[Fraction],
@@ -618,12 +597,8 @@ def _reconstruct(xs: Sequence[int], ys: Sequence[Fraction],
     polynomial costs no division.  Returns None when no pair fits."""
     fit = len(xs) - held
     checks = list(zip(xs[fit:], ys[fit:]))
-    nodes = [1]                         # prod(N - x) over the fitted points
-    for x in xs[:fit]:
-        nodes = [0, *nodes]
-        for d in range(len(nodes) - 1):
-            nodes[d] -= x * nodes[d + 1]
-    r0, r1 = PolyN(nodes), _newton(xs[:fit], ys[:fit])
+    r0 = prod((N - x for x in xs[:fit]), start=_POLY_ONE)
+    r1 = _newton(xs[:fit], ys[:fit])
     t0, t1 = _POLY_ZERO, _POLY_ONE
     while True:
         if all((tv := t1(x)) and r1(x) == y * tv for x, y in checks):
@@ -634,7 +609,7 @@ def _reconstruct(xs: Sequence[int], ys: Sequence[Fraction],
         t0, t1 = t1, t0 - q * t1
         if not rem.is_zero:
             # monic remainders keep the rationals small; only r/t matters
-            inv = 1 / rem.leading
+            inv = Fraction(1, rem.leading)
             rem, t1 = rem * inv, t1 * inv
         r0, r1 = r1, rem
 
@@ -661,29 +636,21 @@ def _reconstruct_all(xs: Sequence[int], values: Sequence[list[Fraction]],
             den = den * t
             den_at = [d * t(x) for d, x in zip(den_at, xs)]
         else:
-            r = r * (1 / t.leading)
+            r = r * Fraction(1, t.leading)
         nums.append(r)
     return nums, den
 
 
-def _satisfies(rows: list[list[list[int]]], nums: list[PolyN],
+def _satisfies(rows: list[list[PolyN]], nums: list[PolyN],
                den: PolyN) -> bool:
     """Whether x_j = nums[j]/den satisfies every row identically.
 
     A cleared row is the original row times a nonzero polynomial, so the
     identity sum_j a_ij x_j = b_i in Q(N) is checked, after multiplying
     through by Q = den, as sum_j a_ij * P_j - b_i * Q == 0 in Z[N]."""
-    ints = _int_coeffs([*nums, -den])
-    for row in rows:
-        terms = [(a, p) for a, p in zip(row, ints) if a and p]
-        acc = [0] * max((len(a) + len(p) - 1 for a, p in terms), default=0)
-        for a, p in terms:
-            for i, ai in enumerate(a):
-                for j, pj in enumerate(p):
-                    acc[i + j] += ai * pj
-        if any(acc):
-            return False
-    return True
+    polys = _primitive([*nums, -den])
+    return all(sum((a * p for a, p in zip(row, polys)), _POLY_ZERO).is_zero
+               for row in rows)
 
 
 def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
@@ -714,24 +681,23 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
         raise RankDeficientError(f"{m} rows cannot determine {k} unknowns")
 
     cleared = []
-    scales = set()
+    poles = set()
     for row, rb in zip(rows, rhs):
-        ints, scale = _clear_row([_num_den(x) for x in (*row, rb)])
-        cleared.append(ints)
+        polys, scale = _clear_row([_num_den(x) for x in (*row, rb)])
+        cleared.append(polys)
         if scale.degree > 0:
-            scales.add(scale)
-    poles = [_int_coeffs([p])[0] for p in scales]
+            poles.add(scale)
     # The entries' own denominators are the first guess for the solution's;
     # it shrinks what is left to reconstruct.  The final attempt drops it.
     hint = _POLY_ONE
-    for p in scales:
+    for p in poles:
         hint = hint * p.exact_div(poly_gcd(hint, p))
 
     def top_k_sum(degrees):
         return sum(sorted((max(d, 0) for d in degrees), reverse=True)[:k])
 
-    bound_a = top_k_sum(max(len(p) for p in row[:k]) - 1 for row in cleared)
-    bound = top_k_sum(max(len(p) for p in row) - 1 for row in cleared)
+    bound_a = top_k_sum(max(p.degree for p in row[:k]) for row in cleared)
+    bound = top_k_sum(max(p.degree for p in row) for row in cleared)
     cap = 4 * bound + 1
 
     xs: list[int] = []
@@ -742,7 +708,7 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     while True:
         while len(xs) < want:
             x += 1
-            if any(_horner(p, x) == 0 for p in poles):
+            if any(p(x) == 0 for p in poles):
                 continue
             sol = _solve_at(cleared, k, x)
             if sol is None:

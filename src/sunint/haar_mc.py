@@ -222,6 +222,8 @@ def random_source_matrices(dim: int, seed: int) -> SourceMatrices:
     sample batches can never collide with.  Entries are scaled so traces of
     powers of JK stay of order one as the dimension grows."""
     _check_seed(seed)
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     rng = np.random.Generator(
         np.random.Philox(key=(seed << 64) + _RESERVED_STREAM))
     scale = 1.0 / sqrt(2 * dim)

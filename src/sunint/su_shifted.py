@@ -47,6 +47,8 @@ def epsilon_integral(i: Sequence[int], j: Sequence[int],
     the product of the two epsilon signs divided by N!.  Indices 1-based."""
     if len(i) != dim or len(j) != dim:
         raise ValueError(f"index lists must have length {dim}")
+    if any(not 1 <= x <= dim for x in (*i, *j)):
+        raise ValueError(f"indices must be in 1..{dim}")
     return Fraction(_levi_civita(i, dim) * _levi_civita(j, dim),
                     factorial(dim))
 

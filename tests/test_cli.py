@@ -370,6 +370,8 @@ def test_verify_tables_suite(capsys):
     assert "su-shifted n=5 dual route" in names
     assert "weingarten n=7 dual route" in names
     assert "su-shifted n=7 dual route" in names
+    assert "weingarten n=8 dual route" in names
+    assert "su-shifted n=8 dual route" in names
 
 
 def test_verify_shift_and_largen_suites(capsys):

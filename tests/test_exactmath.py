@@ -31,6 +31,20 @@ def test_poly_basics():
     assert p.shifted(1) == N**2 + 2 * N
 
 
+def test_poly_coefficients_are_int_when_integral():
+    half = (N**2 + N) * Fraction(1, 2)
+    assert half.coeffs == (0, Fraction(1, 2), Fraction(1, 2))
+    assert type(half.coeffs[1]) is Fraction
+    p = half * 2
+    assert all(type(c) is int for c in p.coeffs) and p == N**2 + N
+    assert type(PolyN([Fraction(4, 2)]).leading) is int
+    assert repr(PolyN([Fraction(3), Fraction(1, 2)])) == \
+        "PolyN([3, Fraction(1, 2)])"
+    assert type(half(3)) is int and half(3) == 6
+    assert half(Fraction(1, 2)) == Fraction(3, 8)
+    assert type(RatFuncN(N, 2).evaluate(4)) is Fraction
+
+
 def test_poly_and_ratfunc_add_sub_in_both_orders():
     p, r = N + 1, RatFuncN(1, N)
     total = RatFuncN(N**2 + N + 1, N)
@@ -189,8 +203,9 @@ def test_evaluation_is_a_homomorphism(a, b, x, delta):
 
 
 def test_float_arguments_are_rejected():
-    with pytest.raises(TypeError):
-        PolyN([1, 2])(2.5)
+    for p in (PolyN([1, 2]), PolyN()):
+        with pytest.raises(TypeError):
+            p(2.5)
     with pytest.raises(TypeError):
         RatFuncN(N + 1, N).evaluate(0.5)
 

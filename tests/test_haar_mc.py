@@ -31,6 +31,13 @@ def test_group_spec_validation():
         GroupSpec(UNITARY, 0)
 
 
+def test_random_source_matrices_rejects_dimension_below_1():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            random_source_matrices(dim, 0)
+    assert random_source_matrices(1, 0).dim == 1
+
+
 def test_unitarity_and_determinant_residuals():
     for dim in range(1, 7):
         for group in (UNITARY, SPECIAL_UNITARY):

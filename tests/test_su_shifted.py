@@ -17,7 +17,7 @@ from sunint.su_shifted import (
     shifted_table,
     shifted_table_recursive,
 )
-from sunint.weingarten import SectorError, SourceMatrices, \
+from sunint.weingarten import MAX_WEIGHT, SectorError, SourceMatrices, \
     weingarten_table_character
 
 
@@ -32,6 +32,10 @@ def test_epsilon_integral_values():
     assert epsilon_integral([3, 1, 2], [1, 2, 3], 3) == Fraction(1, 6)
     with pytest.raises(ValueError):
         epsilon_integral([1, 2], [1, 2], 3)
+    with pytest.raises(ValueError):
+        epsilon_integral([1, 5], [1, 2], 2)
+    with pytest.raises(ValueError):
+        epsilon_integral([0, 1], [2, 1], 2)
 
 
 def test_epsilon_contraction_gives_determinant():
@@ -62,11 +66,20 @@ def test_shift_table_matches_reference():
 
 
 def test_recursive_equals_shift():
-    for n in range(8):
+    for n in range(MAX_WEIGHT + 1):
         ts = shifted_table(n)
         tr = shifted_table_recursive(n)
         for alpha in ts.entries:
             assert ts[alpha] == tr[alpha], (n, alpha.to_string())
+
+
+def test_table_coefficients_are_ints():
+    # canonical entries have integer coefficients, stored as int
+    for n in range(MAX_WEIGHT + 1):
+        for table in (weingarten_table_character(n), shifted_table(n)):
+            for v in table.entries.values():
+                for c in (*v.num.coeffs, *v.den.coeffs):
+                    assert type(c) is int, (table.family, n, v)
 
 
 def test_family_tag():

@@ -8,6 +8,7 @@ from sunint.exactmath import N, RatFuncN
 from sunint.partitions import Partition, enumerate_partitions
 from sunint.reference import reference_table
 from sunint.weingarten import (
+    MAX_WEIGHT,
     CoeffTable,
     SectorError,
     SourceMatrices,
@@ -40,7 +41,7 @@ def test_character_table_matches_reference():
 
 
 def test_recursive_equals_character():
-    for n in range(8):
+    for n in range(MAX_WEIGHT + 1):
         tc = weingarten_table_character(n)
         tr = weingarten_table_recursive(n)
         for alpha in tc.entries:
