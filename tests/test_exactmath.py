@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -208,6 +208,75 @@ def test_float_arguments_are_rejected():
             p(2.5)
     with pytest.raises(TypeError):
         RatFuncN(N + 1, N).evaluate(0.5)
+
+
+@given(_ratfunc, _ratfunc, _ratfunc)
+def test_ratfunc_field_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero and a - a == 0
+    if a:
+        assert a * (1 / a) == 1
+
+
+def _euclid_gcd_over_q(a, b):
+    """Monic gcd of two PolyN by Euclid over Q on plain Fraction lists, an
+    independent witness for poly_gcd (it shares no arithmetic with PolyN)."""
+    def trim(cs):
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    a = trim([Fraction(c) for c in a.coeffs])
+    b = trim([Fraction(c) for c in b.coeffs])
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] -= q * c
+            trim(a)
+        a, b = b, a
+    return PolyN([c / a[-1] for c in a]) if a else PolyN()
+
+
+_linear_factors = st.lists(st.integers(-6, 6).map(lambda k: N + k),
+                           min_size=1, max_size=8)
+_gcd_coeff = st.one_of(st.integers(-9, 9),
+                       st.fractions(-5, 5, max_denominator=7))
+_gcd_poly = st.lists(_gcd_coeff, max_size=9).map(PolyN)
+
+
+@settings(deadline=None)
+@given(_gcd_poly, _gcd_poly,
+       st.one_of(_gcd_poly.filter(bool),
+                 _linear_factors.map(lambda fs: prod(fs, start=PolyN([1])))))
+def test_poly_gcd_matches_euclid_over_q(a, b, c):
+    a, b = a * c, b * c
+    g = poly_gcd(a, b)
+    assert g == _euclid_gcd_over_q(a, b)
+    if a or b:
+        assert g.leading == 1
+        assert a.divmod(g)[1].is_zero and b.divmod(g)[1].is_zero
+
+
+@given(_gcd_poly)
+def test_poly_gcd_with_zero(a):
+    monic = PolyN() if not a else a * Fraction(1, a.leading)
+    assert poly_gcd(a, PolyN()) == monic and poly_gcd(PolyN(), a) == monic
+    assert poly_gcd(PolyN(), PolyN()) == 0
+
+
+def test_high_degree_common_factor_cancels():
+    p = Fraction(5, 9)
+    for k in range(-4, 5):
+        p = p * (N + k) ** 2
+    q = Fraction(2, 3) * N**3 - N + Fraction(1, 5)
+    r = Fraction(7, 4) * N**2 + 3
+    f = RatFuncN(p * q, p * r)
+    assert f == RatFuncN(q, r) and str(f) == str(RatFuncN(q, r))
+    assert f.num == 40 * N**3 - 60 * N + 12 and f.den == 105 * N**2 + 180
 
 
 def _random_ratfunc(rng):
