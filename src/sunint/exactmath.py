@@ -6,6 +6,8 @@ Coefficients are exact rationals: an ``int`` when integral, else a reduced
 symbol N; ``RatFuncN`` is a quotient of two such polynomials kept in a
 canonical reduced form with integer coefficients, so equality of values is
 equality of representations and printed tables are byte-stable across runs.
+That reduction stays in Z[N]: the gcd is a primitive remainder sequence over
+the integers, and only ``poly_gcd`` scales it to monic.
 
 Everything here is immutable value semantics: operations return new objects
 and never mutate their arguments, so the types are safe to share across
@@ -53,7 +55,7 @@ class PolyN:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_scalar(c) for c in coeffs]
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Scalar, ...] = tuple(cs)
@@ -171,7 +173,9 @@ class PolyN:
             c = rem[k]
             if c == 0:
                 continue
-            q = Fraction(c, lead)
+            q, r = divmod(c, lead)      # stays in Z when the step is exact
+            if r:
+                q = Fraction(c, lead)
             quo[k - d] = q
             for j, b in enumerate(other.coeffs):
                 rem[k - d + j] -= q * b
@@ -204,21 +208,41 @@ def _as_poly(x: PolyN | Scalar) -> PolyN:
 
 
 def poly_gcd(a: PolyN, b: PolyN) -> PolyN:
-    """Monic gcd over the rationals (1 if coprime, 0 only for gcd(0, 0))."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero:
-        return a
-    return a * Fraction(1, a.leading)
+    """Monic gcd over the rationals (1 if coprime, 0 only for gcd(0, 0)).
+
+    Computed in Z[N] by the primitive remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1): both operands are made primitive, each integer
+    pseudo-remainder is divided by its content, and the last nonzero one is
+    the gcd up to a rational factor, which scales it to monic."""
+    g = _primitive_gcd(a, b)
+    return g if g.is_zero else g * Fraction(1, g.leading)
+
+
+def _primitive_gcd(a: PolyN, b: PolyN) -> PolyN:
+    """A primitive integer polynomial that is a gcd of a and b over Q (the
+    zero polynomial for gcd(0, 0)); its sign is not fixed."""
+    (a,), (b,) = _primitive([a]), _primitive([b])
+    if a.degree < b.degree:
+        a, b = b, a
+    while b.degree > 0:
+        # lc(b)^(deg a - deg b + 1) * a divides by b without leaving Z
+        rem = (a * b.leading ** (a.degree - b.degree + 1)).divmod(b)[1]
+        a, (b,) = b, _primitive([rem])
+    return a if b.is_zero else _POLY_ONE
 
 
 def _primitive(polys: Sequence[PolyN]) -> list[PolyN]:
     """c * p for every p, with the one positive rational c that makes all
     their coefficients coprime integers."""
     cs = [c for p in polys for c in p.coeffs]
-    scale = _scalar(Fraction(lcm(*(c.denominator for c in cs)),
-                             gcd(*(c.numerator for c in cs)) or 1))
-    return [p * scale for p in polys]
+    # unpack lists, not generators: CPython builds a generator's argument
+    # tuple oversized and shrinks it, stranding memory on its tuple free lists
+    den = lcm(*[c.denominator for c in cs])
+    num = gcd(*[c.numerator for c in cs]) or 1
+    if den == num == 1:
+        return list(polys)
+    # c * den is an integer that num divides, so // is exact and stays in Z
+    return [PolyN(c * den // num for c in p.coeffs) for p in polys]
 
 
 def format_poly(p: PolyN) -> str:
@@ -262,11 +286,13 @@ class RatFuncN:
         if num.is_zero:
             self.num, self.den = _POLY_ZERO, _POLY_ONE
             return
-        g = poly_gcd(num, den)
+        # with num, den in Z[N] of joint content 1 and g primitive, both
+        # quotients stay in Z[N] with joint content 1 (Gauss's lemma)
+        num, den = _primitive([num, den])
+        g = _primitive_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        num, den = _primitive([num, den])
         if den.leading < 0:
             num, den = -num, -den
         self.num, self.den = num, den

@@ -113,18 +113,11 @@ class SourceMatrices:
     @classmethod
     def from_json_dict(cls, payload: dict) -> SourceMatrices:
         def decode(data):
-            # primary layout: N*N entries as [re, im] pairs, row-major;
-            # a nested row-of-rows layout is accepted as well
-            if len(data) == dim * dim and (
-                    dim * dim != dim or not isinstance(data[0][0], list)):
-                flat = [complex(re, im) for re, im in data]
-                return np.array(flat).reshape(dim, dim)
-            if len(data) == dim:
-                mat = np.array([[complex(re, im) for re, im in row]
-                                for row in data])
-                if mat.shape == (dim, dim):
-                    return mat
-            raise ValueError("matrix entries do not match N")
+            if len(data) != dim * dim or any(len(z) != 2 for z in data):
+                raise ValueError("J and K must each be a flat list of N*N "
+                                 "[re, im] pairs, row-major")
+            return np.array([complex(re, im) for re, im in data]).reshape(
+                dim, dim)
 
         try:
             dim = int(payload["N"])

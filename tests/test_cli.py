@@ -226,22 +226,36 @@ def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
 EYE2 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps({"N": 2, "J": [["1", "0"]] + EYE2[1:], "K": EYE2}),
-    json.dumps({"J": EYE2, "K": EYE2}),
-    json.dumps([2, EYE2, EYE2]),
-    json.dumps({"N": 2, "J": [[float("nan"), 0.0]] + EYE2[1:], "K": EYE2}),
-    json.dumps({"N": 2, "J": [[1.0, 0.0, 0.0]] + EYE2[1:], "K": EYE2}),
+def _nested(dim):
+    """The row-of-rows layout of the dim x dim identity (not accepted)."""
+    return [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+
+
+FLAT = "flat list of N*N [re, im] pairs"
+
+
+@pytest.mark.parametrize("dim, text, message", [
+    (2, json.dumps({"N": 2, "J": [["1", "0"]] + EYE2[1:], "K": EYE2}), ""),
+    (2, json.dumps({"J": EYE2, "K": EYE2}), ""),
+    (2, json.dumps([2, EYE2, EYE2]), ""),
+    (2, json.dumps({"N": 2, "J": [[float("nan"), 0.0]] + EYE2[1:],
+                    "K": EYE2}), ""),
+    (2, json.dumps({"N": 2, "J": [[1.0, 0.0, 0.0]] + EYE2[1:], "K": EYE2}),
+     FLAT),
+    (1, json.dumps({"N": 1, "J": _nested(1), "K": _nested(1)}), FLAT),
+    (3, json.dumps({"N": 3, "J": _nested(3), "K": _nested(3)}), FLAT),
 ], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
-        "wrong-arity"])
-def test_mc_malformed_matrices_exit_2(capsys, tmp_path, text):
+        "wrong-arity", "nested-N1", "nested-N3"])
+def test_mc_malformed_matrices_exit_2(capsys, tmp_path, dim, text, message):
     path = tmp_path / "src.json"
     path.write_text(text)
-    code, out, err = run(capsys, "mc", "--p", "1", "--n", "1", "--N", "2",
-                         "--samples", "200", "--matrices", str(path))
+    code, out, err = run(capsys, "mc", "--p", "1", "--n", "1",
+                         "--N", str(dim), "--samples", "200",
+                         "--matrices", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_mc_output_deterministic(capsys):
