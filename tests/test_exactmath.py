@@ -304,6 +304,16 @@ def test_solver_small_systems():
         solve_linear_system([[N, 1]], [1])
 
 
+def test_solver_pivot_from_later_row():
+    # column 0 is zero in the first two rows, so its pivot comes from a later
+    # row, and each row's right-hand side has its own high-degree denominator
+    x = RatFuncN(1, (N + 1) ** 3)
+    y = RatFuncN(N, (N - 2) ** 2)
+    rows = [[0, 1], [0, N], [N, 0], [N + 1, 2]]
+    rhs = [a * x + b * y for a, b in rows]
+    assert solve_linear_system(rows, rhs) == [x, y]
+
+
 def test_solver_recovers_known_solution():
     rng = random.Random(99)
     for _ in range(8):
