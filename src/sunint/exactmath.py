@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: polynomials and rational functions of the matrix
-dimension N, plus exact linear solving over that field.
+dimension N, plus exact linear solving over that field by fraction-free
+elimination in Z[N].
 
 Coefficients are exact rationals: an ``int`` when integral, else a reduced
 ``fractions.Fraction``.  ``PolyN`` is a dense univariate polynomial in the
@@ -17,7 +18,7 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -516,167 +517,33 @@ def parse_ratfunc(text: str) -> RatFuncN:
 
 # -- linear solving ----------------------------------------------------------
 #
-# The solver never eliminates over Q(N).  It clears every row to integer
-# polynomials, solves the evaluated system exactly at integer points N = x,
-# rebuilds each unknown from its point values, and accepts the candidate only
-# after checking every row as a polynomial identity.  Full column rank at one
-# point makes the checked solution the unique one.
-#
-# Degree bound.  With D the sum of the k largest cleared row degrees, Cramer's
-# rule on any k rows that are independent over Q(N) writes every unknown as
-# num/den with both degrees <= D, so the common denominator Q has degree <= D
-# and each Q * x_j has a reduced numerator of degree <= 2D.  A nonzero k-minor
-# of the matrix part has degree <= D_A <= D, so the rank drops at no more than
-# D_A points unless it is deficient over Q(N).  At a full-rank point the
-# solution has no pole (a pole would give a kernel vector), so an inconsistent
-# full-rank point refutes the whole system.  With 3D + 1 fitted points and D
-# held-out points the reconstruction below can neither miss nor be fooled by
-# a function of those degrees, which caps the points at 4D + 1.
-
-_HELD_OUT = 2   # held-out points that must confirm a candidate before the cap
+# Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22 (1968) 565-578)
+# over Z[N].  Each row is cleared to Z[N] by the lcm of its own coefficients'
+# denominators; the right-hand side is then scaled as one column by a common
+# denominator L, so the matrix entries keep the low degree of the cleared rows
+# (clearing the right-hand side row by row would raise every minor's degree).
+# After step c every entry below the pivots is a (c+1)-minor of the cleared
+# system, so each update divides exactly by the previous pivot, and the last
+# pivot is the determinant of the k pivot rows.  Any nonzero pivot is valid;
+# the one of least degree keeps those minors, and so the work, small.
 
 
-def _num_den(x: RatFuncN | PolyN | Scalar) -> tuple[PolyN, PolyN]:
-    if isinstance(x, RatFuncN):
-        return x.num, x.den
-    return _as_poly(x), _POLY_ONE
+def _lcm_den(values: Sequence[RatFuncN | PolyN | Scalar]) -> PolyN:
+    """An lcm over Q[N] of the denominators of the rational functions among
+    values (1 when there are none)."""
+    out = _POLY_ONE
+    for v in values:
+        if isinstance(v, RatFuncN) and v.den.degree > 0:
+            out = out * v.den.exact_div(poly_gcd(out, v.den))
+    return out
 
 
-def _clear_row(entries: Sequence[tuple[PolyN, PolyN]]
-               ) -> tuple[list[PolyN], PolyN]:
-    """Multiply one row, given as (numerator, denominator) pairs, by the lcm
-    of its denominators and a constant so every entry is an integer
-    polynomial.  Returns the cleared row and the lcm."""
-    scale = _POLY_ONE
-    for _, den in entries:
-        if den.degree > 0:
-            scale = scale * den.exact_div(poly_gcd(scale, den))
-    return _primitive([
-        num * (scale.exact_div(den) if den.degree > 0
-               else scale * Fraction(1, den.leading))
-        for num, den in entries]), scale
-
-
-def _solve_at(rows: list[list[PolyN]], k: int,
-              x: int) -> list[Fraction] | None:
-    """Solve the cleared system at N = x by fraction-free (Bareiss)
-    elimination over the integers.  Returns None when the evaluated matrix
-    has rank below k; raises InconsistentSystemError when it has full rank
-    but some row is violated."""
-    mat = []
-    for row in rows:
-        vals = [p(x) for p in row]
-        g = gcd(*vals)
-        mat.append([v // g for v in vals] if g > 1 else vals)
-    m = len(mat)
-    prev = 1
-    for col in range(k):
-        piv = next((r for r in range(col, m) if mat[r][col]), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        top = mat[col]
-        p = top[col]
-        tail = top[col + 1:]
-        for r in range(col + 1, m):
-            row = mat[r]
-            h = row[col]
-            if h:
-                row[col + 1:] = [(p * a - h * b) // prev
-                                 for a, b in zip(row[col + 1:], tail)]
-            else:
-                row[col + 1:] = [p * a // prev for a in row[col + 1:]]
-        prev = p
-    if any(mat[r][k] for r in range(k, m)):
-        raise InconsistentSystemError(
-            f"overdetermined system is inconsistent (at N = {x}, where the "
-            "matrix has full column rank)")
-    # back substitution for the Cramer numerators x_j * det, all integers
-    nums = [0] * k
-    for r in range(k - 1, -1, -1):
-        row = mat[r]
-        acc = prev * row[k]
-        for c in range(r + 1, k):
-            acc -= row[c] * nums[c]
-        nums[r] = acc // row[r]
-    return [Fraction(v, prev) for v in nums]
-
-
-def _newton(xs: Sequence[int], ys: Sequence[Fraction]) -> PolyN:
-    """The polynomial of degree < len(xs) through the points (xs, ys)."""
-    c = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = Fraction(c[i] - c[i - 1], xs[i] - xs[i - j])
-    poly = PolyN(c[-1:])                # Horner in the Newton basis
-    for i in range(len(xs) - 2, -1, -1):
-        poly = poly * (N - xs[i]) + c[i]
-    return poly
-
-
-def _reconstruct(xs: Sequence[int], ys: Sequence[Fraction],
-                 held: int) -> tuple[PolyN, PolyN] | None:
-    """Rational reconstruction: fit all but the last ``held`` points, then
-    walk the extended Euclidean sequence r_i = t_i * interpolant mod
-    prod(N - x) and return the first (r_i, t_i) whose ratio also takes every
-    held-out value.  The first pair is the interpolant over 1, so a
-    polynomial costs no division.  Returns None when no pair fits."""
-    fit = len(xs) - held
-    checks = list(zip(xs[fit:], ys[fit:]))
-    r0 = prod((N - x for x in xs[:fit]), start=_POLY_ONE)
-    r1 = _newton(xs[:fit], ys[:fit])
-    t0, t1 = _POLY_ZERO, _POLY_ONE
-    while True:
-        if all((tv := t1(x)) and r1(x) == y * tv for x, y in checks):
-            return r1, t1
-        if r1.is_zero:
-            return None
-        q, rem = r0.divmod(r1)
-        t0, t1 = t1, t0 - q * t1
-        if not rem.is_zero:
-            # monic remainders keep the rationals small; only r/t matters
-            inv = Fraction(1, rem.leading)
-            rem, t1 = rem * inv, t1 * inv
-        r0, r1 = r1, rem
-
-
-def _reconstruct_all(xs: Sequence[int], values: Sequence[list[Fraction]],
-                     held: int, den: PolyN) -> tuple[list[PolyN], PolyN]:
-    """Numerators P_j and one common denominator Q with x_j = P_j / Q.
-
-    Q starts at ``den``.  Unknowns are taken in order; each is multiplied by
-    the denominator found so far, so usually at most the first needs a
-    rational reconstruction and the rest are polynomial fits.  Stops at the
-    first unknown the points do not determine, so fewer numerators than
-    unknowns come back when more points are needed."""
-    den_at = [den(x) for x in xs]
-    nums: list[PolyN] = []
-    for j in range(len(values[0])):
-        got = _reconstruct(xs, [v[j] * d for v, d in zip(values, den_at)],
-                           held)
-        if got is None:
-            break
-        r, t = got
-        if t.degree > 0:
-            nums = [p * t for p in nums]
-            den = den * t
-            den_at = [d * t(x) for d, x in zip(den_at, xs)]
-        else:
-            r = r * Fraction(1, t.leading)
-        nums.append(r)
-    return nums, den
-
-
-def _satisfies(rows: list[list[PolyN]], nums: list[PolyN],
-               den: PolyN) -> bool:
-    """Whether x_j = nums[j]/den satisfies every row identically.
-
-    A cleared row is the original row times a nonzero polynomial, so the
-    identity sum_j a_ij x_j = b_i in Q(N) is checked, after multiplying
-    through by Q = den, as sum_j a_ij * P_j - b_i * Q == 0 in Z[N]."""
-    polys = _primitive([*nums, -den])
-    return all(sum((a * p for a, p in zip(row, polys)), _POLY_ZERO).is_zero
-               for row in rows)
+def _as_polys(values: Sequence[RatFuncN | PolyN | Scalar],
+              scale: PolyN) -> list[PolyN]:
+    """scale * v for every v, as polynomials over Q; scale must be a multiple
+    of every denominator among values."""
+    return [v.num * scale.exact_div(v.den) if isinstance(v, RatFuncN)
+            else _as_poly(v) * scale for v in values]
 
 
 def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
@@ -688,14 +555,10 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     column rank and every redundant row must be satisfied identically, else
     RankDeficientError / InconsistentSystemError is raised.
 
-    Each row is cleared to integer polynomials.  The evaluated system is
-    solved exactly at N = 1, 2, 3, ..., skipping points where an entry has a
-    pole or the rank drops; every unknown is rebuilt from its point values
-    by rational reconstruction, with points added until held-out points
-    confirm the candidate.  The result is returned only once every row holds
-    as an identity of rational functions, and the matrix has full rank at
-    the sampled points, so the solution is unique.  A degree bound from the
-    cleared rows caps the number of points (see the section comment).
+    The rows are cleared to Z[N] and eliminated fraction-free (see the
+    section comment), so every result is exact by construction.  A column
+    with no nonzero pivot means rank below k over Q(N); a nonzero right-hand
+    side left in a redundant row means the system is inconsistent.
     """
     m = len(rows)
     if m == 0 or len(rhs) != m:
@@ -706,56 +569,48 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     if m < k:
         raise RankDeficientError(f"{m} rows cannot determine {k} unknowns")
 
-    cleared = []
-    poles = set()
-    for row, rb in zip(rows, rhs):
-        polys, scale = _clear_row([_num_den(x) for x in (*row, rb)])
-        cleared.append(polys)
-        if scale.degree > 0:
-            poles.add(scale)
-    # The entries' own denominators are the first guess for the solution's;
-    # it shrinks what is left to reconstruct.  The final attempt drops it.
-    hint = _POLY_ONE
-    for p in poles:
-        hint = hint * p.exact_div(poly_gcd(hint, p))
+    mat = []
+    col = []
+    for row, b in zip(rows, rhs):
+        # s is made integral with the row, so b * s stays on the row's scale
+        s = _lcm_den(row)
+        *cleared, s = _primitive([*_as_polys(row, s), s])
+        mat.append(cleared)
+        col.append(b * s)
+    scale = _lcm_den(col)
+    *col, scale = _primitive([*_as_polys(col, scale), scale])
+    for row, b in zip(mat, col):
+        row.append(b)
 
-    def top_k_sum(degrees):
-        return sum(sorted((max(d, 0) for d in degrees), reverse=True)[:k])
-
-    bound_a = top_k_sum(max(p.degree for p in row[:k]) for row in cleared)
-    bound = top_k_sum(max(p.degree for p in row) for row in cleared)
-    cap = 4 * bound + 1
-
-    xs: list[int] = []
-    values: list[list[Fraction]] = []
-    deficient = 0
-    x = 0
-    want = min(_HELD_OUT + 2, cap)
-    while True:
-        while len(xs) < want:
-            x += 1
-            if any(p(x) == 0 for p in poles):
-                continue
-            sol = _solve_at(cleared, k, x)
-            if sol is None:
-                deficient += 1
-                if deficient > bound_a:
-                    raise RankDeficientError(
-                        f"rank below {k} at {deficient} points; a nonzero "
-                        f"{k}-minor has degree at most {bound_a}")
-                continue
-            xs.append(x)
-            values.append(sol)
-        final = want >= cap
-        nums, den = (_reconstruct_all(xs, values, bound, _POLY_ONE) if final
-                     else _reconstruct_all(xs, values, _HELD_OUT, hint))
-        if len(nums) == k:
-            if _satisfies(cleared, nums, den):
-                return [RatFuncN(p, den) for p in nums]
-        else:
-            hint = den      # keep the denominator found while points last
-        if final:
-            raise InconsistentSystemError(
-                "overdetermined system is inconsistent (no rational solution "
-                f"within the degree bound {bound} satisfies every row)")
-        want = min(cap, want + max(2, want // 3))
+    prev = _POLY_ONE
+    for c in range(k):
+        piv = min((r for r in range(c, m) if mat[r][c]), default=None,
+                  key=lambda r: mat[r][c].degree)
+        if piv is None:
+            raise RankDeficientError(
+                f"column {c} has no nonzero pivot: rank below {k} over Q(N)")
+        mat[c], mat[piv] = mat[piv], mat[c]
+        top = mat[c]
+        p = top[c]
+        for r in range(c + 1, m):
+            row = mat[r]
+            h = row[c]
+            if h:
+                row[c + 1:] = [(p * a - h * t).exact_div(prev)
+                               for a, t in zip(row[c + 1:], top[c + 1:])]
+            else:
+                row[c + 1:] = [(p * a).exact_div(prev) for a in row[c + 1:]]
+        prev = p
+    if any(mat[r][k] for r in range(k, m)):
+        raise InconsistentSystemError(
+            "overdetermined system is inconsistent (a redundant row is not "
+            "satisfied identically)")
+    # back substitution for the Cramer numerators x_j * det, all in Z[N]
+    nums = [_POLY_ZERO] * k
+    for r in range(k - 1, -1, -1):
+        row = mat[r]
+        acc = prev * row[k]
+        for c in range(r + 1, k):
+            acc = acc - row[c] * nums[c]
+        nums[r] = acc.exact_div(row[r])
+    return [RatFuncN(p, prev * scale) for p in nums]

@@ -89,12 +89,6 @@ class TraceSeries:
                            for (g, a), c in self.terms.items()
                            if g + delta <= self.max_order})
 
-    def power(self, k: int) -> TraceSeries:
-        out = self._like({(0, EMPTY): 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
     def grade_slice(self, g: int) -> dict[Partition, object]:
         return {a: c for (gg, a), c in self.terms.items() if gg == g}
 
