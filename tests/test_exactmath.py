@@ -373,16 +373,15 @@ def test_solver_inconsistent_systems():
 
 
 def test_solver_skips_rank_drops_and_poles():
-    # the matrix is singular at N = 1 and N = 2, the sampled points the
-    # solver meets first; the entries have poles at N = 1, 2, 3
+    # the matrix is singular at N = 1 and N = 2 and the entries have poles
+    # at N = 1, 2, 3; neither matters to a solution over Q(N)
     (x,) = solve_linear_system([[(N - 1) * (N - 2)]], [1])
     assert x == RatFuncN(1, (N - 1) * (N - 2))
     x, y = solve_linear_system(
         [[RatFuncN(1, N - 1), 1], [1, RatFuncN(N, N - 3)], [2, 2]],
         [RatFuncN(N, N - 1), RatFuncN(2 * N - 3, N - 3), 4])
     assert (x, y) == (RatFuncN(1), RatFuncN(1))
-    # a solution with a pole at a point where the matrix has full rank is
-    # impossible, so every full-rank point yields a finite value
+    # entries and solution share the poles N = +-2
     (x,) = solve_linear_system([[N**2 - 4], [N + 2]], [N + 1, RatFuncN(
         N + 1, N - 2)])
     assert x == RatFuncN(N + 1, N**2 - 4)
@@ -394,7 +393,7 @@ _POLE_FACTORS = [N, N - 1, N - 2, N + 1, N + 3, N**2 + 1]
 @st.composite
 def _known_system(draw):
     """A random full-rank overdetermined system with a known solution whose
-    entries may have poles at N = 0, 1, 2 (the first points sampled)."""
+    entries may have poles at N = 0, 1, 2."""
     small = st.integers(-3, 3)
     k = draw(st.integers(1, 4))
     extra = draw(st.integers(1, 2))
