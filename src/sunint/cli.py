@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -277,7 +278,16 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
     return None, sector
 
 
+def _sigmas_ok(sigmas: float) -> bool:
+    if math.isfinite(sigmas) and sigmas > 0:
+        return True
+    print("error: --sigmas must be finite and > 0", file=sys.stderr)
+    return False
+
+
 def _cmd_mc(args: argparse.Namespace) -> int:
+    if not _sigmas_ok(args.sigmas):
+        return 2
     if args.p < 0 or args.n < 0:
         print("error: --p and --n must be >= 0", file=sys.stderr)
         return 2
@@ -362,6 +372,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         return 2
     if any(not 1 <= x <= dim for x in i + j + k + l):
         print("error: indices must be in 1..%d" % dim, file=sys.stderr)
+        return 2
+    if args.mc_samples and not _sigmas_ok(args.sigmas):
         return 2
     exact, sector = _exact_monomial(i, j, k, l, dim, args.group)
     payload = {"N": dim, "group": args.group, "sector": sector,

@@ -1,26 +1,36 @@
 """Monte Carlo verification: Haar sampling on the unitary and special
 unitary groups with unbiased estimators and per-component error bars.
 
-Sampling is counter-based and worker-count invariant: sample index s always
-lives in batch s // BATCH, which is generated from its own Philox stream
-keyed by (seed << 64) + batch_index, and a full batch is always drawn before
-slicing.  The value of sample s therefore depends only on (seed, s), no
-matter how many samples were requested or how the work is split.
+Sampling is counter-based.  Samples come in batches of ``_batch_size(N)``
+matrices: ``BATCH``, or fewer at large N so that one batch holds about
+2**19 matrix entries (2048 samples at N = 16, 512 at N = 32).  Batch b is
+drawn from its own Philox stream keyed by (seed << 64) + b, as one
+standard_normal((count, N, N, 2)) array, so its first k samples are the
+same whether k or the whole batch is drawn, and only the samples asked for
+are drawn.  The value of sample s therefore depends only on (seed, N, s),
+not on how many samples were requested.  Batches run on a thread pool of
+at most one worker per visible core, and their moments are merged in batch
+order, so every estimate is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from math import sqrt
-from typing import Iterator, Sequence
+from math import isfinite, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .weingarten import SourceMatrices
 
 BATCH = 8192
+_BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
+_CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 UNITARY = "unitary"
 SPECIAL_UNITARY = "special_unitary"
@@ -74,33 +84,109 @@ def _haar_batch(spec: GroupSpec, count: int,
                 rng: np.random.Generator) -> np.ndarray:
     """(count, N, N) stack of independent Haar samples.
 
-    Ginibre + QR, with the R diagonal phase pushed back into Q; raw QR is not
-    Haar without that fix.  The special unitary projection divides by the
-    principal N-th root of the determinant.
+    The Ginibre matrices are one standard_normal((count, N, N, 2)) draw
+    viewed as complex, so the first k of them do not depend on count.  Up
+    to ``_CGS2_MAX_N`` they are orthonormalized by ``_cgs2``; above it by
+    LAPACK QR with the R diagonal phase pushed back into Q, since raw QR is
+    not Haar without that fix.  The special unitary projection divides by
+    the principal N-th root of the determinant, exp(i arg(det Q) / N) since
+    |det Q| = 1.
     """
     dim = spec.N
-    z = rng.standard_normal((count, dim, dim)) \
-        + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[:, None, :]
+    if spec.group == SPECIAL_UNITARY and dim == 1:
+        return np.ones((count, 1, 1), dtype=complex)
+    z = rng.standard_normal((count, dim, dim, 2)).view(np.complex128)[..., 0]
+    if dim <= _CGS2_MAX_N:
+        q = _cgs2(z)
+    else:
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (diag / np.abs(diag))[:, None, :]
     if spec.group == SPECIAL_UNITARY:
-        root = np.linalg.det(q) ** (1.0 / dim)
-        q = q / root[:, None, None]
+        q = q * np.exp(-1j / dim * np.angle(_det(q)))[:, None, None]
     return q
 
 
-def _batches(spec: GroupSpec, samples: int, seed: int) -> Iterator[np.ndarray]:
-    done = 0
-    batch_index = 0
-    while done < samples:
-        rng = np.random.Generator(
-            np.random.Philox(key=(seed << 64) + batch_index))
-        u = _haar_batch(spec, BATCH, rng)
-        take = min(BATCH, samples - done)
-        yield u[:take]
-        done += take
-        batch_index += 1
+def _cgs2(z: np.ndarray) -> np.ndarray:
+    """Q of the factorization Z = QR whose R has a positive diagonal, by
+    classical Gram-Schmidt run twice over the columns of each matrix.  The
+    second pass restores orthogonality to rounding ("twice is enough",
+    Giraud, Langou and Rozloznik 2005), and the positive diagonal makes Q
+    Haar with no phase fix (Mezzadri, math-ph/0609050)."""
+    count, dim, _ = z.shape
+    cols = np.empty_like(z)    # cols[:, k] is column k of Q
+    conj = np.empty_like(z)
+    for k in range(dim):
+        v = z[:, :, k]
+        for _ in range(2 if k else 0):
+            coeff = np.einsum("bki,bi->bk", conj[:, :k], v)
+            v = v - np.einsum("bki,bk->bi", cols[:, :k], coeff)
+        norm = np.sqrt(np.einsum("bi,bi->b", v.real, v.real)
+                       + np.einsum("bi,bi->b", v.imag, v.imag))
+        cols[:, k] = v / norm[:, None]
+        np.conjugate(cols[:, k], out=conj[:, k])
+    return cols.transpose(0, 2, 1)
+
+
+def _det(q: np.ndarray) -> np.ndarray:
+    """Determinants of a (count, N, N) stack, in closed form for N <= 3."""
+    dim = q.shape[1]
+    if dim > 3:
+        return np.linalg.det(q)
+    m = np.moveaxis(q, 0, -1)
+    if dim == 1:
+        return m[0, 0]
+    if dim == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _batch_size(dim: int) -> int:
+    return max(1, min(BATCH, _BATCH_ENTRIES // dim ** 2))
+
+
+def _keyed_batch(spec: GroupSpec, seed: int, index: int,
+                 count: int) -> np.ndarray:
+    """The first count samples of batch index, from its own Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    return _haar_batch(spec, count, rng)
+
+
+def _moments(values: np.ndarray) -> tuple[int, complex, float, float]:
+    """(count, mean, M2 of the real parts, M2 of the imaginary parts)."""
+    mean = complex(values.mean())
+    return (values.size, mean,
+            float(((values.real - mean.real) ** 2).sum()),
+            float(((values.imag - mean.imag) ** 2).sum()))
+
+
+def _estimate(spec: GroupSpec, samples: int, seed: int,
+              values_of: Callable[[np.ndarray], np.ndarray]) -> MCEstimate:
+    """Mean of values_of over samples 0..samples-1, batch by batch.  More
+    than one batch runs on a pool of min(cores, batches) threads; the batch
+    moments are merged in batch order whatever thread made them."""
+    size = _batch_size(spec.N)
+    batches = -(-samples // size)
+
+    def moments(index: int) -> tuple[int, complex, float, float]:
+        count = min(size, samples - index * size)
+        return _moments(values_of(_keyed_batch(spec, seed, index, count)))
+
+    def merged(parts) -> MCEstimate:
+        acc = _Accumulator()
+        for part in parts:
+            acc.add(*part)
+        return acc.estimate(seed)
+
+    workers = min(_CORES, batches)
+    if workers <= 1:
+        return merged(map(moments, range(batches)))
+    # imported here: concurrent.futures costs every `import sunint` ~7 ms
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return merged(pool.map(moments, range(batches)))
 
 
 class _Accumulator:
@@ -113,13 +199,7 @@ class _Accumulator:
         self.m2_real = 0.0
         self.m2_imag = 0.0
 
-    def add(self, values: np.ndarray) -> None:
-        b = values.size
-        if b == 0:
-            return
-        mean_b = complex(values.mean())
-        m2r = float(((values.real - mean_b.real) ** 2).sum())
-        m2i = float(((values.imag - mean_b.imag) ** 2).sum())
+    def add(self, b: int, mean_b: complex, m2r: float, m2i: float) -> None:
         total = self.count + b
         delta = mean_b - self.mean
         self.m2_real += m2r + delta.real ** 2 * self.count * b / total
@@ -153,12 +233,13 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
     if samples < 100:
         raise ValueError("need at least 100 samples")
     _check_seed(seed)
-    acc = _Accumulator()
-    for u in _batches(spec, samples, seed):
+
+    def values_of(u: np.ndarray) -> np.ndarray:
         tku = np.einsum("ij,bji->b", src.K, u)
-        tju = np.einsum("ij,bij->b", src.J, np.conj(u))
-        acc.add(tku ** p * tju ** n)
-    return acc.estimate(seed)
+        tju = np.conj(np.einsum("ij,bij->b", np.conj(src.J), u))
+        return tku ** p * tju ** n
+
+    return _estimate(spec, samples, seed, values_of)
 
 
 def estimate_monomial(i: Sequence[int], j: Sequence[int],
@@ -176,25 +257,24 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _check_seed(seed)
-    acc = _Accumulator()
-    for u in _batches(spec, samples, seed):
+
+    def values_of(u: np.ndarray) -> np.ndarray:
         values = np.ones(u.shape[0], dtype=complex)
         for a, b in zip(i, j):
             values = values * u[:, a - 1, b - 1]
-        if k:
-            conj = np.conj(u)
-            for a, b in zip(k, l):
-                values = values * conj[:, b - 1, a - 1]
-        acc.add(values)
-    return acc.estimate(seed)
+        for a, b in zip(k, l):
+            values = values * np.conj(u[:, b - 1, a - 1])
+        return values
+
+    return _estimate(spec, samples, seed, values_of)
 
 
 def compare(est: MCEstimate, exact: complex, sigmas: float = 5.0) -> dict:
     """Pass/fail report for an estimate against an exact target: both the
     real and imaginary pulls must stay within the sigma budget.  A zero
     standard error requires exact equality of that component."""
-    if sigmas <= 0:
-        raise ValueError("sigma budget must be positive")
+    if not (isfinite(sigmas) and sigmas > 0):
+        raise ValueError("sigma budget must be finite and positive")
     exact = complex(exact)
 
     def pull(diff: float, err: float) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sunint import cli
 from sunint.cli import main
 
 
@@ -366,6 +367,25 @@ def test_tensor_index_outside_range_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "indices must be in 1.." in err
+
+
+@pytest.mark.parametrize("sigmas", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200"),
+    ("tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
+     "--mc-samples", "200"),
+], ids=["mc", "tensor"])
+def test_bad_sigmas_exit_2_before_sampling(capsys, monkeypatch, argv,
+                                           sigmas):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled despite a bad --sigmas")
+
+    monkeypatch.setattr(cli, "estimate_trace_moment", no_sampling)
+    monkeypatch.setattr(cli, "estimate_monomial", no_sampling)
+    code, out, err = run(capsys, *argv, "--sigmas", sigmas)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --sigmas must be finite and > 0\n"
 
 
 def test_tensor_bad_index_syntax(capsys):

@@ -1,18 +1,22 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sunint import haar_mc
 from sunint.haar_mc import (
-    BATCH,
+    _CGS2_MAX_N,
     SPECIAL_UNITARY,
     UNITARY,
     GroupSpec,
     MCEstimate,
-    _batches,
+    _batch_size,
+    _cgs2,
     _haar_batch,
+    _keyed_batch,
     compare,
     estimate_monomial,
     estimate_trace_moment,
@@ -39,7 +43,8 @@ def test_random_source_matrices_rejects_dimension_below_1():
 
 
 def test_unitarity_and_determinant_residuals():
-    for dim in range(1, 7):
+    # both sides of the CGS2 / LAPACK crossover
+    for dim in [*range(1, 9), 16]:
         for group in (UNITARY, SPECIAL_UNITARY):
             spec = GroupSpec(group, dim)
             rng = np.random.Generator(np.random.Philox(key=3))
@@ -48,6 +53,20 @@ def test_unitarity_and_determinant_residuals():
             assert np.abs(gram - np.eye(dim)).max() < 1e-12
             if group == SPECIAL_UNITARY:
                 assert np.abs(np.linalg.det(u) - 1).max() < 1e-12
+
+
+def _phase_fixed_qr(z):
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def test_cgs2_matches_phase_fixed_qr():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for dim in range(1, _CGS2_MAX_N + 1):
+        z = rng.standard_normal((1000, dim, dim)) \
+            + 1j * rng.standard_normal((1000, dim, dim))
+        assert np.abs(_cgs2(z) - _phase_fixed_qr(z)).max() < 1e-12, dim
 
 
 def test_su1_is_trivial():
@@ -114,12 +133,62 @@ def test_seed_determinism_and_stream_slicing():
     a = estimate_trace_moment(2, 2, src, spec, 12000, 7)
     b = estimate_trace_moment(2, 2, src, spec, 12000, 7)
     assert a == b
-    # sample s depends only on (seed, s): the first batch of a longer run is
-    # bit-identical to a full short run of exactly one batch
-    short = np.concatenate(list(_batches(spec, BATCH, 7)))
-    long = next(iter(_batches(spec, 3 * BATCH, 7)))
-    assert short.shape == long.shape == (BATCH, 3, 3)
-    assert (short == long).all()
+    # sample s depends only on (seed, N, s): it is entry s % size of batch
+    # s // size, whose stream is keyed by the seed and the batch index, and
+    # the last batch of a run is cut to the samples asked for
+    for dim in (3, 16):
+        spec = GroupSpec(UNITARY, dim)
+        size = _batch_size(dim)
+        samples = 2 * size + 5
+        u = np.concatenate([
+            _keyed_batch(spec, 7, b, min(size, samples - b * size))
+            for b in range(3)])
+        assert u.shape == (samples, dim, dim)
+        values = u[:, 0, 1] * np.conj(u[:, 0, 1])
+        est = estimate_monomial([1], [2], [2], [1], spec, samples, 7)
+        assert est.mean == pytest.approx(values.mean(), rel=1e-12)
+        assert est.stderr_real == pytest.approx(
+            values.real.std(ddof=1) / samples ** 0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+def test_batch_draw_is_prefix_stable(group, dim):
+    spec = GroupSpec(group, dim)
+    full = _keyed_batch(spec, 13, 4, _batch_size(dim))
+    assert (_keyed_batch(spec, 13, 4, 100) == full[:100]).all()
+
+
+def test_batch_size_bounds_the_working_set():
+    assert [_batch_size(n) for n in (1, 3, 8, 16, 32, 128, 1024)] == \
+        [8192, 8192, 8192, 2048, 512, 32, 1]
+
+
+@pytest.mark.parametrize("dim", [3, 8, 16])
+def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
+    spec = GroupSpec(SPECIAL_UNITARY, dim)
+    src = random_source_matrices(dim, 4)
+    samples = 2 * _batch_size(dim) + 37
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(haar_mc, "_CORES", workers)
+        runs.append((
+            estimate_trace_moment(2, 1, src, spec, samples, 11),
+            estimate_monomial([1, 2], [2, 1], [1], [2], spec, samples, 12)))
+    assert runs[0] == runs[1]
+
+
+def test_large_dimension_memory_is_bounded():
+    src = random_source_matrices(128, 0)
+    tracemalloc.start()
+    try:
+        est = estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 128),
+                                    100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 100
+    assert peak < 100 * 2 ** 20
 
 
 def test_left_invariance():
@@ -131,7 +200,9 @@ def test_left_invariance():
 
     def manual_estimate(seed, transform):
         values = []
-        for u in _batches(spec, 10**5, seed):
+        size = _batch_size(3)
+        for b in range(-(-10**5 // size)):
+            u = _keyed_batch(spec, seed, b, min(size, 10**5 - b * size))
             if transform is not None:
                 u = transform @ u
             i, j, k, l = idx
@@ -164,8 +235,9 @@ def test_compare_reports():
                            samples=100, seed=0)
     assert compare(exact_est, 1, 5.0)["pass"]
     assert not compare(exact_est, 2, 5.0)["pass"]
-    with pytest.raises(ValueError):
-        compare(est, 0, 0)
+    for sigmas in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            compare(est, 0, sigmas)
 
 
 def test_estimator_input_validation():
