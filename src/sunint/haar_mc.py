@@ -16,9 +16,10 @@ order, so every estimate is bit-identical for any worker count.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +86,10 @@ def _haar_batch(spec: GroupSpec, count: int,
     """(count, N, N) stack of independent Haar samples.
 
     The Ginibre matrices are one standard_normal((count, N, N, 2)) draw
-    viewed as complex, so the first k of them do not depend on count.  Up
+    viewed as complex, so the first k of them do not depend on count; with
+    the per-N batch of ``_batch_size`` and the per-batch streams of
+    ``_keyed_batch``, sample s depends only on (seed, N, s), and on no
+    worker count.  Up
     to ``_CGS2_MAX_N`` they are orthonormalized by ``_cgs2``; above it by
     LAPACK QR with the R diagonal phase pushed back into Q, since raw QR is
     not Haar without that fix.  The special unitary projection divides by
@@ -129,18 +133,16 @@ def _cgs2(z: np.ndarray) -> np.ndarray:
 
 
 def _det(q: np.ndarray) -> np.ndarray:
-    """Determinants of a (count, N, N) stack, in closed form for N <= 3."""
-    dim = q.shape[1]
-    if dim > 3:
-        return np.linalg.det(q)
-    m = np.moveaxis(q, 0, -1)
-    if dim == 1:
-        return m[0, 0]
-    if dim == 2:
-        (a, b), (c, d) = m
+    """Determinants of a (count, N, N) stack with N >= 2, in closed form
+    for N <= 3."""
+    if q.shape[1] == 2:
+        (a, b), (c, d) = np.moveaxis(q, 0, -1)
         return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if q.shape[1] == 3:
+        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(q, 0, -1)
+        return (a * (e * i - f * h) - b * (d * i - f * g)
+                + c * (d * h - e * g))
+    return np.linalg.det(q)
 
 
 def _batch_size(dim: int) -> int:
@@ -186,7 +188,21 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
     # imported here: concurrent.futures costs every `import sunint` ~7 ms
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        return merged(pool.map(moments, range(batches)))
+        return merged(_ordered(pool, moments, batches, 2 * workers))
+
+
+def _ordered(pool, fn: Callable[[int], tuple], count: int,
+             ahead: int) -> Iterator[tuple]:
+    """fn(0), ..., fn(count - 1) computed on pool and yielded in order, with
+    at most ahead of them submitted and not yet yielded, so that a huge
+    count does not queue one future per item the way pool.map does."""
+    pending: deque = deque()
+    for index in range(count):
+        pending.append(pool.submit(fn, index))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 class _Accumulator:

@@ -1,6 +1,7 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,23 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
             estimate_trace_moment(2, 1, src, spec, samples, 11),
             estimate_monomial([1, 2], [2, 1], [1], [2], spec, samples, 12)))
     assert runs[0] == runs[1]
+
+
+def test_pool_results_come_in_order_with_bounded_lookahead():
+    class InlinePool:
+        submitted = 0
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    pool, seen = InlinePool(), []
+    for value in haar_mc._ordered(pool, lambda i: (i,), 1000, 4):
+        assert pool.submitted - len(seen) <= 4
+        seen.append(value)
+    assert seen == [(i,) for i in range(1000)]
 
 
 def test_large_dimension_memory_is_bounded():
