@@ -1,5 +1,6 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -171,12 +172,20 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
     src = random_source_matrices(dim, 4)
     samples = 2 * _batch_size(dim) + 37
     runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(haar_mc, "_CORES", workers)
-        runs.append((
-            estimate_trace_moment(2, 1, src, spec, samples, 11),
-            estimate_monomial([1, 2], [2, 1], [1], [2], spec, samples, 12)))
-    assert runs[0] == runs[1]
+    # three batches: three workers is more than the two cores of the
+    # reference box, and a short switch interval interleaves them finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(haar_mc, "_CORES", workers)
+            runs.append((
+                estimate_trace_moment(2, 1, src, spec, samples, 11),
+                estimate_monomial([1, 2], [2, 1], [1], [2], spec, samples,
+                                  12)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_pool_results_come_in_order_with_bounded_lookahead():
