@@ -67,8 +67,9 @@ def test_closed_form_low_orders():
     assert d[(4, "4^1")] == Fraction(-5, 4)
 
 
-def test_fixedpoint_equals_closed_through_order_8():
-    assert shifted_free_energy_fixedpoint(8) == shifted_free_energy_closed(8)
+def test_fixedpoint_equals_closed_through_order_12():
+    assert (shifted_free_energy_fixedpoint(12)
+            == shifted_free_energy_closed(12))
 
 
 def test_finite_tables_limit_equals_closed_through_order_4():
@@ -78,7 +79,7 @@ def test_finite_tables_limit_equals_closed_through_order_4():
 def test_lagrange_coefficient_identity():
     # grade-n slice of w equals the multinomial sum over partitions with
     # factors f_q = (-1)^(q-1) Cat(q-1)
-    order = 6
+    order = 10
     w = fixedpoint_w_series(order)
     for n in range(1, order + 1):
         got = w.grade_slice(n)
@@ -98,6 +99,9 @@ def test_truncation_consistency():
     lo_fp = shifted_free_energy_fixedpoint(3)
     hi_fp = shifted_free_energy_fixedpoint(6)
     assert hi_fp.truncated(3).terms == lo_fp.terms
+    w12 = fixedpoint_w_series(12)
+    for k in range(1, 12):
+        assert w12.truncated(k) == fixedpoint_w_series(k), k
 
 
 def test_strong_coupling_coeffs():
