@@ -141,22 +141,28 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- largen
 
+# Per target: the power of the coupling that one grade stands for, and the
+# trace symbol
+_SERIES_SYMBOLS = {"wd": (1, "t"), "ww": (2, "tau")}
+
+
 def _series_payload(series: TraceSeries, target: str, method: str) -> dict:
+    kappa_per_grade, symbol = _SERIES_SYMBOLS[target]
     terms = []
     for grade, alpha, coeff in series.sorted_terms():
         terms.append({
             "grade": grade,
-            "kappa_power": grade * series.kappa_power_per_grade,
+            "kappa_power": grade * kappa_per_grade,
             "partition": alpha.to_string(),
             "coefficient": str(coeff),
         })
     return {"target": target, "order": series.max_order,
-        "method": method, "trace_symbol": series.trace_symbol,
+        "method": method, "trace_symbol": symbol,
         "terms": terms}
 
 
-def _series_latex(series: TraceSeries) -> str:
-    sym = series.trace_symbol
+def _series_latex(series: TraceSeries, target: str) -> str:
+    kappa_per_grade, sym = _SERIES_SYMBOLS[target]
     sym = {"tau": r"\tau"}.get(sym, sym)
     lines = []
     for grade, alpha, coeff in series.sorted_terms():
@@ -164,8 +170,7 @@ def _series_latex(series: TraceSeries) -> str:
             "%s_%d" % (sym, q) if m == 1 else "%s_%d^{%d}" % (sym, q, m)
             for q, m in alpha.items()) or "1"
         lines.append(r"\tilde\kappa^{%d} \cdot %s \, %s"
-                     % (grade * series.kappa_power_per_grade,
-                        _frac_latex(coeff), mono))
+                     % (grade * kappa_per_grade, _frac_latex(coeff), mono))
     return "\n".join(lines) + "\n"
 
 
@@ -226,7 +231,7 @@ def _cmd_largen(args: argparse.Namespace) -> int:
                               "mismatches": mismatches}
         if mismatches:
             status = 1
-    text = (_series_latex(series) if args.format == "latex"
+    text = (_series_latex(series, args.target) if args.format == "latex"
             else _json_text(payload))
     _emit(text, args.output)
     return status

@@ -2,11 +2,12 @@
 scaled coupling, with trace powers kept as commuting symbols.
 
 The determinant-sector free energy is produced three independent ways: the
-closed product formula over partitions, the fixed-point equation solved order
-by order (the route Lagrange inversion justifies), and the exact finite-N
-tables followed by a term-by-term limit.  The strong-coupling series of the
-balanced sector comes from its own closed coefficient formula.  Agreement of
-the routes is the point, so none of them shares code with another.
+closed product formula over partitions, the fixed-point equation iterated
+so that pass g fixes grade g (the route Lagrange inversion justifies), and
+the exact finite-N tables followed by a term-by-term limit.  The
+strong-coupling series of the balanced sector comes from its own closed
+coefficient formula.  Agreement of the routes is the point, so none of them
+shares code with another.
 """
 
 from __future__ import annotations
@@ -29,33 +30,25 @@ class TraceSeries:
 
     Coefficients are exact rationals in the limit series and rational
     functions of N in the finite-N intermediate; the algebra only needs
-    +, *, and truth-testing, so both work.  ``kappa_power_per_grade`` records
-    whether grade g stands for coupling^g (determinant sector) or
-    coupling^(2g) (strong coupling); ``trace_symbol`` is for rendering only.
+    +, *, and truth-testing, so both work.
     """
 
     max_order: int
     terms: dict[tuple[int, Partition], object] = field(default_factory=dict)
-    kappa_power_per_grade: int = 1
-    trace_symbol: str = "t"
 
     def __post_init__(self):
         cleaned = {key: c for key, c in self.terms.items() if c}
         object.__setattr__(self, "terms", cleaned)
 
-    def _like(self, terms) -> TraceSeries:
-        return TraceSeries(self.max_order, terms,
-                           self.kappa_power_per_grade, self.trace_symbol)
-
     # -- algebra (all truncating at max_order) -------------------------------
 
     def __add__(self, other: TraceSeries | int | Fraction) -> TraceSeries:
         if isinstance(other, (int, Fraction)):
-            other = self._like({(0, EMPTY): other})
+            other = TraceSeries(self.max_order, {(0, EMPTY): other})
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return self._like(out)
+        return TraceSeries(self.max_order, out)
 
     def __sub__(self, other: TraceSeries | int | Fraction) -> TraceSeries:
         return self + (other * -1 if isinstance(other, TraceSeries)
@@ -71,23 +64,11 @@ class TraceSeries:
                         continue
                     key = (g, a1.merge(a2))
                     out[key] = out.get(key, 0) + c1 * c2
-            return self._like(out)
-        return self._like({key: c * other for key, c in self.terms.items()})
+            return TraceSeries(self.max_order, out)
+        return TraceSeries(self.max_order,
+                           {key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def times_trace(self, q: int) -> TraceSeries:
-        """Multiply by the trace symbol of power q (grades unchanged)."""
-        return self._like({(g, a.add_part(q)): c
-                           for (g, a), c in self.terms.items()})
-
-    def shift_grade(self, delta: int) -> TraceSeries:
-        """Multiply (delta > 0) or divide by a power of the coupling."""
-        if delta < 0 and any(g + delta < 0 for (g, _) in self.terms):
-            raise ValueError("grade shift below zero")
-        return self._like({(g + delta, a): c
-                           for (g, a), c in self.terms.items()
-                           if g + delta <= self.max_order})
 
     def grade_slice(self, g: int) -> dict[Partition, object]:
         return {a: c for (gg, a), c in self.terms.items() if gg == g}
@@ -95,8 +76,7 @@ class TraceSeries:
     def truncated(self, order: int) -> TraceSeries:
         return TraceSeries(order,
                            {(g, a): c for (g, a), c in self.terms.items()
-                            if g <= order},
-                           self.kappa_power_per_grade, self.trace_symbol)
+                            if g <= order})
 
     def sorted_terms(self) -> list[tuple[int, Partition, object]]:
         """(grade, partition, coefficient) by grade, then enumeration order."""
@@ -129,26 +109,25 @@ def shifted_free_energy_closed(order: int) -> TraceSeries:
 
 
 def fixedpoint_w_series(order: int) -> TraceSeries:
-    """The auxiliary series solving y = coupling * sum_m f_m y^m with
-    f_0 = 1 and f_m = (-1)^(m-1) Cat(m-1) times the trace symbol of power m,
-    returned as w = y/coupling - 1 (grades 1..order)."""
+    """The auxiliary series w = y/coupling - 1, where y solves
+    y = coupling * sum_m f_m y^m with f_0 = 1 and f_m = (-1)^(m-1) Cat(m-1)
+    times the trace symbol of power m (grades 1..order).
+
+    In u = 1 + w the equation reads w = sum_{m>=1} f_m coupling^m u^m.
+    Iterating from w = 0, pass g evaluates that sum by Horner in u,
+    truncated at grade g.  Every f_m coupling^m has grade >= 1, so grade g
+    of w is final after pass g."""
     if order < 1:
         raise ValueError("order must be positive")
-    # y runs one grade higher than w, since w = y/coupling - 1
-    depth = order + 1
-    zero = TraceSeries(depth, {})
-    y = zero
-    for _ in range(depth):
-        acc = zero + 1
-        power = zero + 1
-        for m in range(1, depth + 1):
-            power = power * y
-            if not power.terms:
-                break
+    w = TraceSeries(0, {})
+    for g in range(1, order + 1):
+        u = TraceSeries(g, w.terms) + 1
+        acc = TraceSeries(g, {})
+        for m in range(g, 0, -1):
             f_m = Fraction((-1) ** (m - 1) * catalan(m - 1))
-            acc = acc + power.times_trace(m) * f_m
-        y = acc.shift_grade(1)
-    return (y.shift_grade(-1) - 1).truncated(order)
+            acc = (acc + TraceSeries(g, {(m, EMPTY.add_part(m)): f_m})) * u
+        w = acc
+    return w
 
 
 def shifted_free_energy_fixedpoint(order: int) -> TraceSeries:
@@ -219,5 +198,4 @@ def strong_coupling_series(order: int) -> TraceSeries:
     terms = {(n, alpha): strong_coupling_coeff(alpha)
              for n in range(1, order + 1)
              for alpha in enumerate_partitions(n)}
-    return TraceSeries(order, terms, kappa_power_per_grade=2,
-                       trace_symbol="tau")
+    return TraceSeries(order, terms)

@@ -31,9 +31,6 @@ def test_trace_series_algebra():
     prod = a * b
     assert prod.terms == {(2, part("1^1 2^1")): Fraction(1)}
     assert (a + b - a).terms == b.terms
-    assert a.shift_grade(1).terms == {(2, part("1^1")): Fraction(2)}
-    with pytest.raises(ValueError):
-        b.shift_grade(-2)
 
 
 def test_catalan_functional_equation():
@@ -117,7 +114,6 @@ def test_strong_coupling_coeffs():
 
 def test_strong_coupling_series_displayed_orders():
     s = strong_coupling_series(4)
-    assert s.kappa_power_per_grade == 2
     d = series_dict(s)
     assert d[(1, "1^1")] == 1
     assert d[(2, "1^2")] == Fraction(1, 2)
