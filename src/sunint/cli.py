@@ -52,7 +52,6 @@ from .weingarten import (
     MAX_TENSOR_WEIGHT,
     MAX_WEIGHT,
     CoeffTable,
-    SectorError,
     SourceMatrices,
     eval_ordinary,
     monomial_integral,
@@ -183,7 +182,9 @@ _SERIES = {
 
 # Largest --order per route, so every call ends in bounded time.  On a
 # 2-vCPU box closed and ww take 9 s at order 38 (11 s at 39), and the fixed
-# point, whose cost grows about 1.8x per order, takes 8-9 s at order 16.
+# point, whose cost grows about 1.7x per order, takes 1.9 s at order 16.
+# Its cap stays at 16 on purpose: a higher cap would change which calls
+# exit 2, and that is a change of CLI behaviour of its own.
 _ORDER_CAPS = {"closed": 38, "fixedpoint": 16, "finite-n": 4}
 
 
@@ -283,6 +284,28 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
     return None, sector
 
 
+# Largest sampling job the CLI admits, so every Monte Carlo call ends in
+# bounded time: samples x N^2 drawn matrix entries per estimator call, and N.
+# On a 2-vCPU box SU(N) draws about 10 M entries/s up to N = 64 but 2.3 M at
+# N = 128, so the slowest admitted call, mc --N 128 --samples 8192, takes
+# about a minute (56 s).
+_MAX_SAMPLED_ENTRIES = 2 ** 27
+_MAX_SAMPLED_N = 128
+
+
+def _sampling_ok(option: str, samples: int, dim: int) -> bool:
+    if dim > _MAX_SAMPLED_N:
+        print("error: sampling supports --N <= %d" % _MAX_SAMPLED_N,
+              file=sys.stderr)
+        return False
+    if samples * dim ** 2 > _MAX_SAMPLED_ENTRIES:
+        print("error: %s times N^2 must be <= %d (%s <= %d at N = %d)"
+              % (option, _MAX_SAMPLED_ENTRIES, option,
+                 _MAX_SAMPLED_ENTRIES // dim ** 2, dim), file=sys.stderr)
+        return False
+    return True
+
+
 def _sigmas_ok(sigmas: float) -> bool:
     if math.isfinite(sigmas) and sigmas > 0:
         return True
@@ -298,6 +321,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 2
     if args.N < 1:
         print("error: --N must be >= 1", file=sys.stderr)
+        return 2
+    if not _sampling_ok("--samples", args.samples, args.N):
         return 2
     if args.matrices:
         src = SourceMatrices.from_json_file(args.matrices)
@@ -378,7 +403,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     if any(not 1 <= x <= dim for x in i + j + k + l):
         print("error: indices must be in 1..%d" % dim, file=sys.stderr)
         return 2
-    if args.mc_samples and not _sigmas_ok(args.sigmas):
+    if args.mc_samples and not (_sigmas_ok(args.sigmas) and _sampling_ok(
+            "--mc-samples", args.mc_samples, dim)):
         return 2
     exact, sector = _exact_monomial(i, j, k, l, dim, args.group)
     payload = {"N": dim, "group": args.group, "sector": sector,
@@ -449,9 +475,12 @@ def _suite_largen() -> list[dict]:
     return checks
 
 
+_SUITE_MC_DIM = 3   # the largest N the mc suite samples
+
+
 def _suite_mc(samples: int, seed: int) -> list[dict]:
     checks = []
-    dim = 3
+    dim = _SUITE_MC_DIM
     src = random_source_matrices(dim, seed)
     su = GroupSpec(SPECIAL_UNITARY, dim)
     cases = [
@@ -492,6 +521,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "mc": lambda: _suite_mc(args.samples, args.seed),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    if "mc" in names and not _sampling_ok("--samples", args.samples,
+                                          _SUITE_MC_DIM):
+        return 2
     payload = {"suites": {}, "pass": True}
     for name in names:
         print("running suite %r" % name, file=sys.stderr)
@@ -593,9 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SectorError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

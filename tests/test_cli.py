@@ -388,6 +388,52 @@ def test_bad_sigmas_exit_2_before_sampling(capsys, monkeypatch, argv,
     assert err == "error: --sigmas must be finite and > 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("mc", "--p", "1", "--n", "1", "--N", "3",
+     "--samples", str(cli._MAX_SAMPLED_ENTRIES // 9 + 1)),
+    ("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "100000000000"),
+    ("mc", "--p", "1", "--n", "1", "--N", str(cli._MAX_SAMPLED_N + 1),
+     "--samples", "1"),
+    ("mc", "--p", "1", "--n", "1", "--N", "128",
+     "--samples", str(cli._MAX_SAMPLED_ENTRIES // 128 ** 2 + 1)),
+    ("tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
+     "--mc-samples", str(cli._MAX_SAMPLED_ENTRIES // 4 + 1)),
+    ("tensor", "--N", str(cli._MAX_SAMPLED_N + 1), "--u", "1:1",
+     "--udagger", "1:1", "--mc-samples", "1"),
+    ("verify", "--suite", "mc",
+     "--samples", str(cli._MAX_SAMPLED_ENTRIES // 9 + 1)),
+    ("verify", "--samples", "100000000000"),
+], ids=["mc-samples", "mc-1e11", "mc-N", "mc-samples-N128",
+        "tensor-samples", "tensor-N", "verify-mc", "verify-all"])
+def test_sampling_above_cap_exits_2_before_sampling(capsys, monkeypatch,
+                                                    argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled above the cap")
+
+    for name in ("estimate_trace_moment", "estimate_monomial",
+                 "random_source_matrices", "_suite_tables"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sampling_at_cap_is_admitted(capsys, monkeypatch):
+    calls = []
+
+    def fake_estimate(*args, samples, seed):
+        calls.append(samples)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "estimate_trace_moment", fake_estimate)
+    cap = cli._MAX_SAMPLED_ENTRIES // cli._MAX_SAMPLED_N ** 2
+    code, _, err = run(capsys, "mc", "--p", "1", "--n", "1",
+                       "--N", str(cli._MAX_SAMPLED_N), "--samples", str(cap))
+    assert calls == [cap]
+    assert (code, err.splitlines()[-1]) == (2, "error: stop")
+
+
 def test_tensor_bad_index_syntax(capsys):
     code, _, err = run(capsys, "tensor", "--N", "2", "--u", "1-1")
     assert code == 2
