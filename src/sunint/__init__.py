@@ -39,7 +39,6 @@ from .largen import (
 )
 from .partitions import (
     Partition,
-    YoungDiagram,
     catalan,
     character,
     class_size,
@@ -75,9 +74,8 @@ __all__ = [
     "N", "PolyN", "RatFuncN", "poly_gcd", "format_poly", "parse_ratfunc",
     "solve_linear_system", "LinearSystemError", "RankDeficientError",
     "InconsistentSystemError",
-    "Partition", "YoungDiagram", "enumerate_partitions",
-    "enumerate_diagrams", "class_size", "character", "dim_sn", "dim_gl",
-    "catalan",
+    "Partition", "enumerate_partitions", "enumerate_diagrams",
+    "class_size", "character", "dim_sn", "dim_gl", "catalan",
     "CoeffTable", "SourceMatrices", "SectorError", "MAX_WEIGHT",
     "MAX_TENSOR_WEIGHT", "weingarten_class_coefficient",
     "weingarten_table_character", "weingarten_table_recursive",

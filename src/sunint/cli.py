@@ -285,7 +285,8 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
 
 
 # Largest sampling job the CLI admits, so every Monte Carlo call ends in
-# bounded time: samples x N^2 drawn matrix entries per estimator call, and N.
+# bounded time: drawn matrix entries per command (samples x N^2 for mc and
+# tensor, summed over the estimator calls of verify --suite mc), and N.
 # On a 2-vCPU box SU(N) draws about 10 M entries/s up to N = 64 but 2.3 M at
 # N = 128, so the slowest admitted call, mc --N 128 --samples 8192, takes
 # about a minute (56 s).
@@ -298,12 +299,17 @@ def _sampling_ok(option: str, samples: int, dim: int) -> bool:
         print("error: sampling supports --N <= %d" % _MAX_SAMPLED_N,
               file=sys.stderr)
         return False
-    if samples * dim ** 2 > _MAX_SAMPLED_ENTRIES:
-        print("error: %s times N^2 must be <= %d (%s <= %d at N = %d)"
-              % (option, _MAX_SAMPLED_ENTRIES, option,
-                 _MAX_SAMPLED_ENTRIES // dim ** 2, dim), file=sys.stderr)
-        return False
-    return True
+    return _entries_ok(option, samples, "N^2", dim ** 2, "at N = %d" % dim)
+
+
+def _entries_ok(option: str, samples: int, factor: str, per_sample: int,
+                where: str) -> bool:
+    if samples * per_sample <= _MAX_SAMPLED_ENTRIES:
+        return True
+    print("error: %s times %s must be <= %d (%s <= %d %s)"
+          % (option, factor, _MAX_SAMPLED_ENTRIES, option,
+             _MAX_SAMPLED_ENTRIES // per_sample, where), file=sys.stderr)
+    return False
 
 
 def _sigmas_ok(sigmas: float) -> bool:
@@ -475,24 +481,31 @@ def _suite_largen() -> list[dict]:
     return checks
 
 
-_SUITE_MC_DIM = 3   # the largest N the mc suite samples
+# The mc suite's estimator calls, each with the same --samples: trace moments
+# Z(p, n) on SU(3), then the bare pair U_1a U_2b on SU(2) per column order.
+_SUITE_MC_TRACE_DIM = 3
+_SUITE_MC_TRACE_CASES = (
+    ("Z(1,1) balanced", 1, 1),
+    ("Z(2,2) balanced", 2, 2),
+    ("Z(3,0) pure det", 3, 0),
+    ("Z(4,1) shifted", 4, 1),
+    ("Z(5,2) shifted", 5, 2),
+    ("Z(2,1) charge mismatch", 2, 1),
+    ("Z(3,1) charge mismatch", 3, 1),
+)
+_SUITE_MC_PAIR_DIM = 2
+_SUITE_MC_PAIR_COLS = ([1, 2], [2, 1])
+# matrix entries the whole suite draws per --samples (71)
+_SUITE_MC_ENTRIES = (len(_SUITE_MC_TRACE_CASES) * _SUITE_MC_TRACE_DIM ** 2
+                     + len(_SUITE_MC_PAIR_COLS) * _SUITE_MC_PAIR_DIM ** 2)
 
 
 def _suite_mc(samples: int, seed: int) -> list[dict]:
     checks = []
-    dim = _SUITE_MC_DIM
+    dim = _SUITE_MC_TRACE_DIM
     src = random_source_matrices(dim, seed)
     su = GroupSpec(SPECIAL_UNITARY, dim)
-    cases = [
-        ("Z(1,1) balanced", 1, 1),
-        ("Z(2,2) balanced", 2, 2),
-        ("Z(3,0) pure det", 3, 0),
-        ("Z(4,1) shifted", 4, 1),
-        ("Z(5,2) shifted", 5, 2),
-        ("Z(2,1) charge mismatch", 2, 1),
-        ("Z(3,1) charge mismatch", 3, 1),
-    ]
-    for name, p, n in cases:
+    for name, p, n in _SUITE_MC_TRACE_CASES:
         est = estimate_trace_moment(p, n, src, su,
                                     samples=samples, seed=seed)
         exact, _ = _exact_trace_moment(p, n, src, su.group)
@@ -500,11 +513,11 @@ def _suite_mc(samples: int, seed: int) -> list[dict]:
         checks.append({"name": name, "pass": report["pass"],
                        "pull": [report["pull_real"],
                                 report["pull_imag"]]})
-    su2 = GroupSpec(SPECIAL_UNITARY, 2)
-    for cols in ([1, 2], [2, 1]):
+    su2 = GroupSpec(SPECIAL_UNITARY, _SUITE_MC_PAIR_DIM)
+    for cols in _SUITE_MC_PAIR_COLS:
         est = estimate_monomial([1, 2], cols, [], [], su2,
                                 samples=samples, seed=seed)
-        exact, _ = _exact_monomial([1, 2], cols, [], [], 2, su2.group)
+        exact, _ = _exact_monomial([1, 2], cols, [], [], su2.N, su2.group)
         report = compare(est, complex(exact))
         checks.append({"name": "SU(2) bare pair cols=%s" % (cols,),
                        "pass": report["pass"],
@@ -521,8 +534,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "mc": lambda: _suite_mc(args.samples, args.seed),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    if "mc" in names and not _sampling_ok("--samples", args.samples,
-                                          _SUITE_MC_DIM):
+    if "mc" in names and not _entries_ok(
+            "--samples", args.samples, str(_SUITE_MC_ENTRIES),
+            _SUITE_MC_ENTRIES, "for the mc suite"):
         return 2
     payload = {"suites": {}, "pass": True}
     for name in names:

@@ -30,6 +30,7 @@ _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
 _CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
+_ROUNDING_FLOOR = 8 * 2.0 ** -52  # relative: a few ulps of the compared values
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
@@ -287,15 +288,20 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
 
 def compare(est: MCEstimate, exact: complex, sigmas: float = 5.0) -> dict:
     """Pass/fail report for an estimate against an exact target: both the
-    real and imaginary pulls must stay within the sigma budget.  A zero
-    standard error requires exact equality of that component."""
+    real and imaginary pulls must stay within the sigma budget.  Each
+    component's standard error is floored at ``_ROUNDING_FLOOR`` times
+    max(|mean|, |exact|), so a difference that is only rounding (as when
+    every sample takes the same value, or a component is exactly zero) is
+    not read as a many-sigma deviation."""
     if not (isfinite(sigmas) and sigmas > 0):
         raise ValueError("sigma budget must be finite and positive")
     exact = complex(exact)
+    floor = _ROUNDING_FLOOR * max(abs(est.mean), abs(exact))
 
     def pull(diff: float, err: float) -> float:
         if diff == 0:
             return 0.0
+        err = max(err, floor)
         return abs(diff) / err if err > 0 else float("inf")
 
     pull_real = pull(est.mean.real - exact.real, est.stderr_real)

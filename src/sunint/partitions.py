@@ -1,19 +1,20 @@
-"""Integer partitions as cycle types, symmetric-group class data, and the
-representation-theoretic quantities built on them: irreducible characters by
-the Murnaghan-Nakayama rule, GL(N) dimensions by the hook-content formula, and
-Catalan numbers.
+"""Integer partitions and the representation-theoretic quantities built on
+them: symmetric-group class sizes, irreducible characters by the
+Murnaghan-Nakayama rule, S_n and GL(N) dimensions by the hook length and
+hook-content formulas, and Catalan numbers.
 
-Partitions carry two complementary views.  ``Partition`` stores the
-multiplicity vector (how many parts equal q), which is the natural shape for
-cycle types and for coefficient-table keys.  ``YoungDiagram`` stores the row
-lengths, which is the natural shape for characters and hooks.
+One type, ``Partition``, serves both roles a partition of n plays here: a
+cycle type (a conjugacy class of S_n, and a coefficient-table key) and a
+Young diagram (an irreducible of S_n or GL(N)).  It stores part
+multiplicities; ``Partition.parts`` gives the diagram's row lengths in weakly
+decreasing order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .exactmath import N, PolyN
@@ -131,50 +132,6 @@ class Partition:
         return f"Partition.from_string({self.to_string()!r})"
 
 
-class YoungDiagram:
-    """Row lengths of a partition, weakly decreasing."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[int]):
-        rows = tuple(rows)
-        if any(r < 1 for r in rows):
-            raise ValueError("row lengths must be positive")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError("rows must be weakly decreasing")
-        self.rows: tuple[int, ...] = rows
-
-    @property
-    def weight(self) -> int:
-        return sum(self.rows)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def conjugate(self) -> YoungDiagram:
-        if not self.rows:
-            return YoungDiagram(())
-        return YoungDiagram(tuple(
-            sum(1 for r in self.rows if r > j) for j in range(self.rows[0])))
-
-    def hook_lengths(self) -> list[list[int]]:
-        conj = self.conjugate().rows
-        return [[r - j + conj[j - 1] - i + 1 for j in range(1, r + 1)]
-                for i, r in enumerate(self.rows, start=1)]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, YoungDiagram):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"YoungDiagram({list(self.rows)!r})"
-
-
 @lru_cache(maxsize=None)
 def _parts_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
@@ -195,8 +152,8 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition.from_parts(t) for t in _parts_tuples(n, n)]
 
 
-def enumerate_diagrams(n: int) -> list[YoungDiagram]:
-    return [YoungDiagram(t) for t in _parts_tuples(n, n)]
+#: Irreducibles of S_n are labelled by the same partitions, in the same order.
+enumerate_diagrams = enumerate_partitions
 
 
 def class_size(alpha: Partition) -> int:
@@ -209,18 +166,17 @@ def class_size(alpha: Partition) -> int:
     return factorial(n) // den
 
 
-def character(lam: YoungDiagram, alpha: Partition) -> int:
+def character(lam: Partition, alpha: Partition) -> int:
     """Irreducible character chi^lam evaluated on class alpha, both of the
     same weight, by the Murnaghan-Nakayama border-strip recursion on
     first-column hook lengths (beta sets)."""
     if lam.weight != alpha.weight:
         raise ValueError(
             f"weight mismatch: diagram {lam.weight}, class {alpha.weight}")
-    rows = lam.rows
+    rows = lam.parts
     length = len(rows)
     betas = tuple(sorted(rows[i] + (length - 1 - i) for i in range(length)))
-    strips = tuple(sorted(alpha.parts, reverse=True))
-    return _strip_sum(betas, strips)
+    return _strip_sum(betas, alpha.parts)
 
 
 @lru_cache(maxsize=None)
@@ -243,26 +199,26 @@ def _strip_sum(betas: tuple[int, ...], strips: tuple[int, ...]) -> int:
     return total
 
 
-def dim_sn(lam: YoungDiagram) -> int:
+def _hook_product(lam: Partition) -> int:
+    """Product of the hook lengths of lam's cells, read from its rows and
+    column lengths."""
+    rows = lam.parts
+    cols = [sum(1 for r in rows if r > j) for j in range(max(rows, default=0))]
+    return prod(r - j + cols[j] - i - 1
+                for i, r in enumerate(rows) for j in range(r))
+
+
+def dim_sn(lam: Partition) -> int:
     """Dimension of the S_n irreducible for lam (hook length formula)."""
-    hooks = 1
-    for row in lam.hook_lengths():
-        for h in row:
-            hooks *= h
-    return factorial(lam.weight) // hooks
+    return factorial(lam.weight) // _hook_product(lam)
 
 
-def dim_gl(lam: YoungDiagram) -> PolyN:
+def dim_gl(lam: Partition) -> PolyN:
     """Dimension of the GL(N) irreducible for lam as a polynomial in N:
     prod over cells (i,j) of (N + j - i) / hook(i,j)."""
-    num = PolyN([1])
-    hooks = 1
-    for i, (r, hook_row) in enumerate(zip(lam.rows, lam.hook_lengths()),
-                                      start=1):
-        for j in range(1, r + 1):
-            num = num * (N + (j - i))
-            hooks *= hook_row[j - 1]
-    return num * Fraction(1, hooks)
+    num = prod((N + (j - i) for i, r in enumerate(lam.parts)
+                for j in range(r)), start=PolyN([1]))
+    return num * Fraction(1, _hook_product(lam))
 
 
 def catalan(m: int) -> int:

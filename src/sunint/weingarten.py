@@ -34,7 +34,6 @@ from .partitions import (
     character,
     dim_gl,
     dim_sn,
-    enumerate_diagrams,
     enumerate_partitions,
 )
 
@@ -141,12 +140,12 @@ class SourceMatrices:
 @lru_cache(maxsize=None)
 def weingarten_class_coefficient(alpha: Partition) -> RatFuncN:
     """The class function C on S_n whose permutation-pair sum gives the
-    balanced-sector integral: sum over diagrams lam of weight n of
+    balanced-sector integral: sum over irreducibles lam of weight n of
     dim(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam))."""
     n = alpha.weight
     total = RatFuncN(0)
     scale = Fraction(1, factorial(n) ** 2)
-    for lam in enumerate_diagrams(n):
+    for lam in enumerate_partitions(n):
         num = scale * dim_sn(lam) ** 2 * character(lam, alpha)
         if num:
             total = total + RatFuncN(PolyN([num]), dim_gl(lam))

@@ -403,8 +403,11 @@ def test_bad_sigmas_exit_2_before_sampling(capsys, monkeypatch, argv,
     ("verify", "--suite", "mc",
      "--samples", str(cli._MAX_SAMPLED_ENTRIES // 9 + 1)),
     ("verify", "--samples", "100000000000"),
+    ("verify", "--suite", "mc",
+     "--samples", str(cli._MAX_SAMPLED_ENTRIES // 71 + 1)),
 ], ids=["mc-samples", "mc-1e11", "mc-N", "mc-samples-N128",
-        "tensor-samples", "tensor-N", "verify-mc", "verify-all"])
+        "tensor-samples", "tensor-N", "verify-mc", "verify-all",
+        "verify-mc-suite-total"])
 def test_sampling_above_cap_exits_2_before_sampling(capsys, monkeypatch,
                                                     argv):
     def no_sampling(*args, **kwargs):
@@ -432,6 +435,34 @@ def test_sampling_at_cap_is_admitted(capsys, monkeypatch):
                        "--N", str(cli._MAX_SAMPLED_N), "--samples", str(cap))
     assert calls == [cap]
     assert (code, err.splitlines()[-1]) == (2, "error: stop")
+
+
+def test_verify_mc_sampling_bound_counts_the_whole_suite(capsys,
+                                                        monkeypatch):
+    # seven trace moments on SU(3) and two bare pairs on SU(2): 7*9 + 2*4
+    assert cli._SUITE_MC_ENTRIES == 71
+    calls = []
+
+    def fake_estimate(*args, samples, seed):
+        calls.append(samples)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "estimate_trace_moment", fake_estimate)
+    cap = cli._MAX_SAMPLED_ENTRIES // 71
+    code, out, err = run(capsys, "verify", "--suite", "mc",
+                         "--samples", str(cap))
+    assert calls == [cap]
+    assert (code, err.splitlines()[-1]) == (2, "error: stop")
+
+
+def test_mc_su1_shifted_passes_despite_rounding(capsys):
+    # every SU(1) sample is the identity, so the estimate equals det K up to
+    # rounding and its stderr is rounding too; that is not a deviation
+    code, payload = run_json(capsys, "mc", "--p", "1", "--n", "0",
+                             "--N", "1", "--samples", "100")
+    assert payload["sector"] == "shifted"
+    assert payload["comparison"]["pass"] is True
+    assert code == 0
 
 
 def test_tensor_bad_index_syntax(capsys):

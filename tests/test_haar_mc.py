@@ -267,6 +267,19 @@ def test_compare_reports():
             compare(est, 0, sigmas)
 
 
+def test_compare_floors_the_error_at_rounding():
+    exact = 0.7 + 0.2j
+    ulp = np.spacing(0.7)
+    tiny = MCEstimate(mean=complex(0.7 + ulp, 0.2), stderr_real=1e-17,
+                      stderr_imag=1e-17, samples=100, seed=0)
+    report = compare(tiny, exact, 5.0)
+    assert report["pass"] and report["pull_real"] < 1
+    assert report["stderr_real"] == 1e-17
+    far = MCEstimate(mean=complex(0.7 + 1e-12, 0.2), stderr_real=1e-17,
+                     stderr_imag=1e-17, samples=100, seed=0)
+    assert not compare(far, exact, 5.0)["pass"]
+
+
 def test_estimator_input_validation():
     spec = GroupSpec(UNITARY, 3)
     src = random_source_matrices(3, 1)

@@ -9,7 +9,6 @@ import pytest
 from sunint.exactmath import N, PolyN
 from sunint.partitions import (
     Partition,
-    YoungDiagram,
     catalan,
     character,
     class_size,
@@ -58,14 +57,14 @@ def test_class_sizes():
 def test_character_small_cases():
     # trivial representation: all values 1
     for n in range(1, 6):
-        lam = YoungDiagram([n])
+        lam = Partition.from_parts([n])
         for a in enumerate_partitions(n):
             assert character(lam, a) == 1
     # sign representation: parity of the permutation
-    assert character(YoungDiagram([1, 1, 1]), Partition.from_parts([3])) == 1
-    assert character(YoungDiagram([1, 1]), Partition.from_parts([2])) == -1
+    assert character(Partition.from_parts([1, 1, 1]), Partition.from_parts([3])) == 1
+    assert character(Partition.from_parts([1, 1]), Partition.from_parts([2])) == -1
     with pytest.raises(ValueError):
-        character(YoungDiagram([2]), Partition.from_parts([3]))
+        character(Partition.from_parts([2]), Partition.from_parts([3]))
 
 
 def test_character_standard_rep_brute_force():
@@ -74,7 +73,7 @@ def test_character_standard_rep_brute_force():
     def perm_char(sigma):
         return sum(1 for a in range(3) if sigma[a] == a) - 1
 
-    lam = YoungDiagram([2, 1])
+    lam = Partition.from_parts([2, 1])
     counts = {}
     for sigma in itertools.permutations(range(3)):
         counts.setdefault(_cycle_type(sigma), []).append(perm_char(sigma))
@@ -124,15 +123,15 @@ def test_dimension_consistency():
 
 
 def test_dim_gl_small():
-    assert dim_gl(YoungDiagram([1])) == N
-    assert dim_gl(YoungDiagram([2])) == (N**2 + N) * Fraction(1, 2)
+    assert dim_gl(Partition.from_parts([1])) == N
+    assert dim_gl(Partition.from_parts([2])) == (N**2 + N) * Fraction(1, 2)
     # single column: binomial(N, k) as a polynomial
     for k in range(1, 6):
         expect = PolyN([1])
         for i in range(k):
             expect = expect * (N - i)
         expect = expect * Fraction(1, factorial(k))
-        assert dim_gl(YoungDiagram([1] * k)) == expect
+        assert dim_gl(Partition.from_parts([1] * k)) == expect
 
 
 def test_dim_gl_integer_values():
@@ -142,7 +141,7 @@ def test_dim_gl_integer_values():
                 v = dim_gl(d)(dim)
                 assert v.denominator == 1
                 assert v >= 0
-                assert (v == 0) == (d.num_rows > dim)
+                assert (v == 0) == (d.num_parts > dim)
 
 
 def test_catalan():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sunint.exactmath import N, RatFuncN
 from sunint.partitions import Partition, enumerate_partitions
@@ -94,15 +96,43 @@ def test_monomial_integral_basics():
                for j in range(1, 5)) == 1
 
 
-def test_monomial_integral_symmetries():
-    i, j = [1, 2, 1], [2, 1, 1]
-    k, l = [2, 1, 1], [1, 2, 1]
-    base = monomial_integral(i, j, k, l, 4)
-    # simultaneous permutation of the (i, j) pairs
-    assert monomial_integral([i[2], i[0], i[1]], [j[2], j[0], j[1]],
-                             k, l, 4) == base
+@st.composite
+def _monomial_case(draw):
+    """Indices of a weight-n monomial on U(dim), two permutations of the
+    factor pairs and two relabellings of 1..dim."""
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(n + 1, 5))
+    index = st.lists(st.integers(1, dim), min_size=n, max_size=n)
+    i, j, k, l = (draw(index) for _ in range(4))
+    return (i, j, k, l, dim,
+            draw(st.permutations(range(n))), draw(st.permutations(range(n))),
+            draw(st.permutations(range(1, dim + 1))),
+            draw(st.permutations(range(1, dim + 1))))
+
+
+@settings(deadline=None)
+@given(_monomial_case())
+@example(([1, 2, 1], [2, 1, 1], [2, 1, 1], [1, 2, 1], 4,
+          [2, 0, 1], [0, 1, 2], [1, 2, 3, 4], [1, 2, 3, 4]))
+def test_monomial_integral_symmetries(case):
+    i, j, k, l, dim, u_order, ud_order, rows, cols = case
+    base = monomial_integral(i, j, k, l, dim)
+    # the factors commute: permute the (i, j) pairs and the (k, l) pairs
+    assert monomial_integral([i[a] for a in u_order], [j[a] for a in u_order],
+                             [k[b] for b in ud_order],
+                             [l[b] for b in ud_order], dim) == base
+
+    # U -> P U Q for permutation matrices P, Q: row indices (i, l) relabel
+    # by one permutation, column indices (j, k) by another
+    def relabel(perm, xs):
+        return [perm[x - 1] for x in xs]
+
+    assert monomial_integral(relabel(rows, i), relabel(cols, j),
+                             relabel(cols, k), relabel(rows, l), dim) == base
+    # U -> U^T
+    assert monomial_integral(j, i, l, k, dim) == base
     # exchange of the two factor groups (i<->l, j<->k); values are real
-    assert monomial_integral(l, k, j, i, 4) == base
+    assert monomial_integral(l, k, j, i, dim) == base
 
 
 def test_monomial_integral_guards():
