@@ -23,9 +23,12 @@ from .haar_mc import (
     UNITARY,
     GroupSpec,
     MCEstimate,
+    SourceMatrices,
     compare,
     estimate_monomial,
     estimate_trace_moment,
+    eval_ordinary,
+    eval_shifted,
     random_source_matrices,
     sample_haar,
 )
@@ -51,7 +54,6 @@ from .reference import reference_families, reference_table, reference_weights
 from .su_shifted import (
     check_shift_identity,
     epsilon_integral,
-    eval_shifted,
     shifted_table,
     shifted_table_recursive,
 )
@@ -60,8 +62,6 @@ from .weingarten import (
     MAX_WEIGHT,
     CoeffTable,
     SectorError,
-    SourceMatrices,
-    eval_ordinary,
     monomial_integral,
     weingarten_class_coefficient,
     weingarten_table_character,

@@ -27,9 +27,12 @@ from .haar_mc import (
     SPECIAL_UNITARY,
     UNITARY,
     GroupSpec,
+    SourceMatrices,
     compare,
     estimate_monomial,
     estimate_trace_moment,
+    eval_ordinary,
+    eval_shifted,
     random_source_matrices,
 )
 from .largen import (
@@ -44,7 +47,6 @@ from .reference import reference_table, reference_weights
 from .su_shifted import (
     check_shift_identity,
     epsilon_integral,
-    eval_shifted,
     shifted_table,
     shifted_table_recursive,
 )
@@ -52,8 +54,6 @@ from .weingarten import (
     MAX_TENSOR_WEIGHT,
     MAX_WEIGHT,
     CoeffTable,
-    SourceMatrices,
-    eval_ordinary,
     monomial_integral,
     weingarten_table_character,
     weingarten_table_recursive,
@@ -402,9 +402,12 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     if dim < 1:
         print("error: --N must be >= 1", file=sys.stderr)
         return 2
-    if max(len(i), len(k)) > MAX_TENSOR_WEIGHT:
-        print("error: at most %d factors of each kind"
-              % MAX_TENSOR_WEIGHT, file=sys.stderr)
+    # only the U-dagger count feeds the (n!)^2 pair sum; more U factors are
+    # cheap (epsilon is O(N log N)), and N <= 128 keeps 1/N! printable
+    u_cap = max(MAX_TENSOR_WEIGHT, min(dim, _MAX_SAMPLED_N))
+    if len(k) > MAX_TENSOR_WEIGHT or len(i) > u_cap:
+        print("error: at most %d U-dagger factors and %d U factors at N = %d"
+              % (MAX_TENSOR_WEIGHT, u_cap, dim), file=sys.stderr)
         return 2
     if any(not 1 <= x <= dim for x in i + j + k + l):
         print("error: indices must be in 1..%d" % dim, file=sys.stderr)

@@ -1,5 +1,7 @@
-"""Monte Carlo verification: Haar sampling on the unitary and special
-unitary groups with unbiased estimators and per-component error bars.
+"""The numeric layer: Haar sampling on the unitary and special unitary
+groups with unbiased estimators and per-component error bars, and the
+source matrices J, K at which the exact tables are evaluated in floating
+point for comparison.  It is the package's only module that uses numpy.
 
 Sampling is counter-based.  Samples come in batches of ``_batch_size(N)``
 matrices: ``BATCH``, or fewer at large N so that one batch holds about
@@ -15,15 +17,18 @@ order, so every estimate is bit-identical for any worker count.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import factorial, isfinite, prod, sqrt
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .weingarten import SourceMatrices
+from .su_shifted import shifted_table
+from .weingarten import SectorError, weingarten_table_character
 
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
@@ -70,6 +75,65 @@ class MCEstimate:
             "samples": self.samples,
             "seed": self.seed,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class SourceMatrices:
+    """A pair of square complex source matrices of matching dimension."""
+
+    J: np.ndarray
+    K: np.ndarray
+
+    def __post_init__(self):
+        j = np.asarray(self.J, dtype=complex)
+        k = np.asarray(self.K, dtype=complex)
+        if j.shape != k.shape or j.ndim != 2 or j.shape[0] != j.shape[1]:
+            raise ValueError("J and K must be square matrices of equal size")
+        if not (np.isfinite(j).all() and np.isfinite(k).all()):
+            raise ValueError("J and K must have finite entries")
+        object.__setattr__(self, "J", j)
+        object.__setattr__(self, "K", k)
+
+    @property
+    def dim(self) -> int:
+        return self.J.shape[0]
+
+    def trace_powers(self, n_max: int) -> list[complex]:
+        """[t_1, ..., t_n_max] with t_q = tr((JK)^q)."""
+        m = self.J @ self.K
+        out = []
+        power = np.eye(self.dim, dtype=complex)
+        for _ in range(n_max):
+            power = power @ m
+            out.append(complex(np.trace(power)))
+        return out
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> SourceMatrices:
+        def decode(data):
+            if len(data) != dim * dim or any(len(z) != 2 for z in data):
+                raise ValueError("J and K must each be a flat list of N*N "
+                                 "[re, im] pairs, row-major")
+            return np.array([complex(re, im) for re, im in data]).reshape(
+                dim, dim)
+
+        try:
+            dim = int(payload["N"])
+            return cls(decode(payload["J"]), decode(payload["K"]))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError("source matrices must be an object with N, J "
+                             "and K, entries as [re, im] numbers") from exc
+
+    @classmethod
+    def from_json_file(cls, path: str | Path) -> SourceMatrices:
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json_dict(json.load(fh))
+
+    def as_json_dict(self) -> dict:
+        def encode(mat):
+            return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+
+        return {"N": self.dim, "J": encode(self.J), "K": encode(self.K)}
 
 
 def _check_seed(seed: int) -> None:
@@ -335,3 +399,42 @@ def random_source_matrices(dim: int, seed: int) -> SourceMatrices:
                         + 1j * rng.standard_normal((dim, dim)))
 
     return SourceMatrices(draw(), draw())
+
+
+# -- exact tables at the source matrices --------------------------------------
+
+def _trace_sum(build: Callable, n: int, src: SourceMatrices) -> complex:
+    """Sum over alpha of build(n)[alpha] at N = dim times t_alpha, with the
+    traces t_q = tr((JK)^q) computed once for the whole table.  The tables
+    hold for weight n < dim only; at n = 0 the sum is 1."""
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    if n >= src.dim:
+        raise SectorError(
+            f"weight {n} not below dimension {src.dim}: outside validity domain")
+    if n == 0:
+        return complex(1)
+    t = src.trace_powers(n)
+    total = complex(0)
+    for alpha, coeff in build(n).entries.items():
+        monomial = prod((t[q - 1] ** m for q, m in alpha.items()),
+                        start=complex(1))
+        total += float(coeff.evaluate(src.dim)) * monomial
+    return total
+
+
+def eval_ordinary(n: int, src: SourceMatrices) -> complex:
+    """Numeric value of the balanced generating integral of weight n:
+    the Haar average of (tr KU)^n (tr J U-dagger)^n, computed as
+    n! * sum over alpha of entry(alpha) at N=dim times t_alpha."""
+    return _trace_sum(weingarten_table_character, n, src) * factorial(n)
+
+
+def eval_shifted(n: int, src: SourceMatrices) -> complex:
+    """Numeric value of the determinant-sector generating integral: the Haar
+    average over SU(dim) of (tr KU)^(dim+n) (tr J U-dagger)^n, equal to
+    det K times the coefficient-weighted sum of trace monomials t_alpha."""
+    total = _trace_sum(shifted_table, n, src)
+    det_k = complex(np.linalg.det(src.K))
+    # at n = 0 the sum is 1, and a product with 1 can flip a signed zero
+    return det_k * total if n else det_k

@@ -16,17 +16,12 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Sequence
 
-import numpy as np
-
 from .exactmath import N, PolyN, RatFuncN
 from .partitions import Partition, enumerate_partitions
 from .weingarten import (
     MAX_WEIGHT,
     CoeffTable,
-    SectorError,
-    SourceMatrices,
     _cycle_type,
-    _trace_sum,
     recursion_step,
     weingarten_table_character,
 )
@@ -79,21 +74,6 @@ def shifted_table_recursive(n: int) -> CoeffTable:
     prev = shifted_table_recursive(n - 1)
     entries = recursion_step(prev, marked=N + 1, rhs_scale=(N + n) * n)
     return CoeffTable(n=n, family="su-shifted", entries=entries)
-
-
-def eval_shifted(n: int, src: SourceMatrices) -> complex:
-    """Numeric value of the determinant-sector generating integral: the Haar
-    average over SU(dim) of (tr KU)^(dim+n) (tr J U-dagger)^n, equal to
-    det K times the coefficient-weighted sum of trace monomials t_alpha."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if n >= src.dim:
-        raise SectorError(
-            f"weight {n} not below dimension {src.dim}: outside validity domain")
-    det_k = complex(np.linalg.det(src.K))
-    if n == 0:
-        return det_k
-    return det_k * _trace_sum(shifted_table(n), src)
 
 
 def check_shift_identity(n: int) -> list[dict]:

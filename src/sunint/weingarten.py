@@ -12,15 +12,11 @@ test, not an implementation shortcut: neither calls the other.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from pathlib import Path
+from math import factorial
 from typing import Sequence
-
-import numpy as np
 
 from .exactmath import (
     N,
@@ -76,65 +72,6 @@ class CoeffTable:
                 for a, v in self.entries.items()
             ],
         }
-
-
-@dataclass(frozen=True, eq=False)
-class SourceMatrices:
-    """A pair of square complex source matrices of matching dimension."""
-
-    J: np.ndarray
-    K: np.ndarray
-
-    def __post_init__(self):
-        j = np.asarray(self.J, dtype=complex)
-        k = np.asarray(self.K, dtype=complex)
-        if j.shape != k.shape or j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError("J and K must be square matrices of equal size")
-        if not (np.isfinite(j).all() and np.isfinite(k).all()):
-            raise ValueError("J and K must have finite entries")
-        object.__setattr__(self, "J", j)
-        object.__setattr__(self, "K", k)
-
-    @property
-    def dim(self) -> int:
-        return self.J.shape[0]
-
-    def trace_powers(self, n_max: int) -> list[complex]:
-        """[t_1, ..., t_n_max] with t_q = tr((JK)^q)."""
-        m = self.J @ self.K
-        out = []
-        power = np.eye(self.dim, dtype=complex)
-        for _ in range(n_max):
-            power = power @ m
-            out.append(complex(np.trace(power)))
-        return out
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> SourceMatrices:
-        def decode(data):
-            if len(data) != dim * dim or any(len(z) != 2 for z in data):
-                raise ValueError("J and K must each be a flat list of N*N "
-                                 "[re, im] pairs, row-major")
-            return np.array([complex(re, im) for re, im in data]).reshape(
-                dim, dim)
-
-        try:
-            dim = int(payload["N"])
-            return cls(decode(payload["J"]), decode(payload["K"]))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError("source matrices must be an object with N, J "
-                             "and K, entries as [re, im] numbers") from exc
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> SourceMatrices:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-    def as_json_dict(self) -> dict:
-        def encode(mat):
-            return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-
-        return {"N": self.dim, "J": encode(self.J), "K": encode(self.K)}
 
 
 @lru_cache(maxsize=None)
@@ -283,30 +220,4 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
                       if all(j[a] == k[tau[sigma[a]]] for a in range(n)))
         if matches:
             total += class_values[_cycle_type(sigma)] * matches
-    return total
-
-
-def eval_ordinary(n: int, src: SourceMatrices) -> complex:
-    """Numeric value of the balanced generating integral of weight n:
-    the Haar average of (tr KU)^n (tr J U-dagger)^n, computed as
-    n! * sum over alpha of entry(alpha) at N=dim times t_alpha."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if n >= src.dim:
-        raise SectorError(
-            f"weight {n} not below dimension {src.dim}: outside validity domain")
-    if n == 0:
-        return complex(1)
-    return factorial(n) * _trace_sum(weingarten_table_character(n), src)
-
-
-def _trace_sum(table: CoeffTable, src: SourceMatrices) -> complex:
-    """Sum over alpha of entry(alpha) at N = dim times t_alpha, with the
-    traces t_q = tr((JK)^q) computed once for the whole table."""
-    t = src.trace_powers(table.n)
-    total = complex(0)
-    for alpha, coeff in table.entries.items():
-        monomial = prod((t[q - 1] ** m for q, m in alpha.items()),
-                        start=complex(1))
-        total += float(coeff.evaluate(src.dim)) * monomial
     return total

@@ -1,6 +1,8 @@
 """End-to-end checks of the command line interface via main(argv)."""
 import hashlib
 import json
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -342,6 +344,44 @@ def test_tensor_mc_cross_check(capsys):
     assert code == 0
     assert payload["exact"] == "1/2"
     assert payload["comparison"]["pass"] is True
+
+
+def _pairs(rows, cols):
+    return ",".join("%d:%d" % pair for pair in zip(rows, cols))
+
+
+def _perm_sign(perm):
+    inversions = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1:])
+    return (-1) ** inversions
+
+
+@pytest.mark.parametrize("dim", [7, 8, 128])
+def test_tensor_epsilon_above_the_weight_cap(capsys, dim):
+    # the epsilon integral has p = N factors of U and no U-dagger, so the
+    # cap on U-dagger factors does not bound it
+    rows = list(range(dim, 0, -1))
+    cols = [2, 1] + list(range(3, dim + 1))
+    code, payload = run_json(capsys, "tensor", "--N", str(dim),
+                             "--u", _pairs(rows, cols))
+    assert code == 0
+    assert payload["sector"] == "epsilon"
+    expected = Fraction(_perm_sign(rows) * _perm_sign(cols), factorial(dim))
+    assert payload["exact"] == str(expected)
+
+
+@pytest.mark.parametrize("dim, u, udagger", [
+    (8, 7, 7),
+    (8, 0, 7),
+    (7, 8, 0),
+    (129, 129, 0),
+], ids=["udagger-7", "udagger-7-alone", "u-8-at-N7", "u-129-at-N129"])
+def test_tensor_factor_caps_exit_2(capsys, dim, u, udagger):
+    code, out, err = run(capsys, "tensor", "--N", str(dim),
+                         "--u", _pairs([1] * u, [1] * u),
+                         "--udagger", _pairs([1] * udagger, [1] * udagger))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: at most ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
+import ast
 import sys
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,45 @@ from sunint.haar_mc import (
 from sunint.weingarten import monomial_integral
 
 SIGMAS = 5.0
+EXACT_MODULES = ("exactmath", "partitions", "weingarten", "su_shifted",
+                 "largen", "reference")
+
+
+def _imports(module: str) -> set[str]:
+    """Modules that one package module imports, read from its source:
+    package modules as sunint.<name>, others by their dotted name."""
+    path = Path(haar_mc.__file__).parent / f"{module}.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "sunint." + base if base else "sunint"
+            if base == "sunint":
+                names.update("sunint." + alias.name for alias in node.names)
+            else:
+                names.add(base)
+    return names
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_import_only_stdlib_and_exact_modules(module):
+    for name in _imports(module):
+        top, _, rest = name.partition(".")
+        if top == "sunint":
+            assert rest in EXACT_MODULES, name
+        else:
+            assert top in sys.stdlib_module_names, name
+
+
+def test_haar_mc_is_the_only_module_importing_numpy():
+    package = Path(haar_mc.__file__).parent
+    users = {path.stem for path in package.glob("*.py")
+             if any(name.partition(".")[0] == "numpy"
+                    for name in _imports(path.stem))}
+    assert users == {"haar_mc"}
 
 
 def test_group_spec_validation():

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from sunint.exactmath import N, RatFuncN
+from sunint.haar_mc import SourceMatrices, eval_shifted
 from sunint.partitions import Partition
 from sunint.reference import reference_table
 from sunint.su_shifted import (
     check_shift_identity,
     epsilon_integral,
-    eval_shifted,
     shifted_table,
     shifted_table_recursive,
 )
-from sunint.weingarten import MAX_WEIGHT, SectorError, SourceMatrices, \
+from sunint.weingarten import MAX_WEIGHT, SectorError, \
     weingarten_table_character
 
 
@@ -141,10 +141,13 @@ def _fixed_sources(dim):
     return SourceMatrices(j, k)
 
 
-def test_eval_shifted_small():
+def test_eval_shifted_small(monkeypatch):
     src = _fixed_sources(4)
     det_k = np.linalg.det(src.K)
     assert abs(eval_shifted(0, src) - det_k) < 1e-12
+    assert eval_shifted(0, src) == complex(det_k)
+    with pytest.raises(ValueError):
+        eval_shifted(-1, src)
     t1 = src.trace_powers(1)[0]
     assert abs(eval_shifted(1, src) - det_k * t1) < 1e-12
     t1, t2 = src.trace_powers(2)
@@ -153,6 +156,9 @@ def test_eval_shifted_small():
     assert abs(eval_shifted(2, src) - expect) < 1e-12
     with pytest.raises(SectorError):
         eval_shifted(4, src)
+    # n = 0 returns det K itself: a product with 1 would turn -0.0 into 0.0
+    monkeypatch.setattr(np.linalg, "det", lambda k: complex(2.0, -0.0))
+    assert repr(eval_shifted(0, src)) == repr(complex(2.0, -0.0))
 
 
 def test_shifted_entries_have_no_pole_at_valid_dims():

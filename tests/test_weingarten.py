@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunint.exactmath import N, RatFuncN
+from sunint.haar_mc import SourceMatrices, eval_ordinary
 from sunint.partitions import Partition, enumerate_partitions
 from sunint.reference import reference_table
 from sunint.weingarten import (
     MAX_WEIGHT,
     CoeffTable,
     SectorError,
-    SourceMatrices,
-    eval_ordinary,
     monomial_integral,
     weingarten_class_coefficient,
     weingarten_table_character,
@@ -169,6 +168,9 @@ def _fixed_sources(dim):
 def test_eval_ordinary():
     src = _fixed_sources(4)
     assert eval_ordinary(0, src) == 1
+    assert type(eval_ordinary(0, src)) is complex
+    with pytest.raises(ValueError):
+        eval_ordinary(-1, src)
     t1 = src.trace_powers(1)[0]
     assert abs(eval_ordinary(1, src) - t1 / 4) < 1e-12
     # n=2 against the explicit table combination
