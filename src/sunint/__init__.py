@@ -4,7 +4,9 @@ The exact layer works over the field of rational functions in the matrix
 dimension N: coefficient tables for balanced moments, for the
 determinant sector of the special unitary group, and large-N series of
 the associated free energies.  The numeric layer draws Haar samples and
-cross-checks every exact value statistically.
+cross-checks every exact value statistically.  It needs numpy, so its
+names are loaded from ``haar_mc`` on first access (PEP 562), and the
+exact layer runs without numpy.
 """
 from .exactmath import (
     N,
@@ -17,20 +19,6 @@ from .exactmath import (
     parse_ratfunc,
     poly_gcd,
     solve_linear_system,
-)
-from .haar_mc import (
-    SPECIAL_UNITARY,
-    UNITARY,
-    GroupSpec,
-    MCEstimate,
-    SourceMatrices,
-    compare,
-    estimate_monomial,
-    estimate_trace_moment,
-    eval_ordinary,
-    eval_shifted,
-    random_source_matrices,
-    sample_haar,
 )
 from .largen import (
     TraceSeries,
@@ -90,3 +78,15 @@ __all__ = [
     "compare", "random_source_matrices",
     "reference_families", "reference_weights", "reference_table",
 ]
+
+
+def __getattr__(name: str):
+    # a name in __all__ that is not bound above is one of haar_mc's
+    if name in __all__:
+        from . import haar_mc
+        return getattr(haar_mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

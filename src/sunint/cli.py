@@ -11,6 +11,10 @@ Subcommands:
 Results go to stdout as JSON (or latex/csv where supported); progress
 and diagnostics go to stderr.  Exit codes: 0 success, 1 a verification
 comparison failed, 2 usage error.
+
+The numeric layer (``haar_mc``, and with it numpy) is imported only by the
+commands that sample: ``mc``, ``tensor --mc-samples`` and ``verify
+--suite mc|all``.
 """
 from __future__ import annotations
 
@@ -21,20 +25,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactmath import RatFuncN, format_poly
-from .haar_mc import (
-    SPECIAL_UNITARY,
-    UNITARY,
-    GroupSpec,
-    SourceMatrices,
-    compare,
-    estimate_monomial,
-    estimate_trace_moment,
-    eval_ordinary,
-    eval_shifted,
-    random_source_matrices,
-)
 from .largen import (
     TraceSeries,
     shifted_free_energy_closed,
@@ -59,8 +52,14 @@ from .weingarten import (
     weingarten_table_recursive,
 )
 
+if TYPE_CHECKING:
+    from .haar_mc import GroupSpec, SourceMatrices
+
 WEINGARTEN = "weingarten"
 SU_SHIFTED = "su-shifted"
+# the CLI's group names; haar_mc spells its own, and _group_spec maps them
+_UNITARY = "unitary"
+_SPECIAL_UNITARY = "special-unitary"
 
 _TABLE_BUILDERS = {
     (WEINGARTEN, "character"): weingarten_table_character,
@@ -241,8 +240,10 @@ def _cmd_largen(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- mc
 
 def _group_spec(name: str, dim: int) -> GroupSpec:
-    group = SPECIAL_UNITARY if name == "special-unitary" else UNITARY
-    return GroupSpec(group, dim)
+    from . import haar_mc
+    group = (haar_mc.SPECIAL_UNITARY if name == _SPECIAL_UNITARY
+             else haar_mc.UNITARY)
+    return haar_mc.GroupSpec(group, dim)
 
 
 def _sector(group: str, p: int, n: int, dim: int, cap: int) -> str:
@@ -252,7 +253,7 @@ def _sector(group: str, p: int, n: int, dim: int, cap: int) -> str:
     balanced (p = n) and shifted (p = n + dim) sectors are known exactly for
     weight n < dim up to the cap; above it they are "balanced-high-weight"
     and "outside-range", as is every other p - n."""
-    if group == UNITARY and p != n:
+    if group == _UNITARY and p != n:
         return "unbalanced"
     if (p - n) % dim:
         return "charge-mismatch"
@@ -272,15 +273,16 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
     Returns (value, sector label); value is None when the sector is
     outside the implemented range.
     """
+    from . import haar_mc
     sector = _sector(group, p, n, src.dim, MAX_WEIGHT)
     if sector in _ZERO_SECTORS:
         return 0.0, sector
     if sector == "balanced":
         if n == 0:
             return 1.0, "trivial"
-        return complex(eval_ordinary(n, src)), sector
+        return complex(haar_mc.eval_ordinary(n, src)), sector
     if sector == "shifted":
-        return complex(eval_shifted(n, src)), sector
+        return complex(haar_mc.eval_shifted(n, src)), sector
     return None, sector
 
 
@@ -330,21 +332,23 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 2
     if not _sampling_ok("--samples", args.samples, args.N):
         return 2
+    from . import haar_mc
+    haar_mc.check_sampling(args.samples, args.seed, haar_mc.MIN_TRACE_SAMPLES)
     if args.matrices:
-        src = SourceMatrices.from_json_file(args.matrices)
+        src = haar_mc.SourceMatrices.from_json_file(args.matrices)
         if src.dim != args.N:
             print("error: matrices file has N=%d, not %d"
                   % (src.dim, args.N), file=sys.stderr)
             return 2
     else:
-        src = random_source_matrices(args.N, args.seed)
+        src = haar_mc.random_source_matrices(args.N, args.seed)
     spec = _group_spec(args.group, args.N)
     print("sampling %d matrices from %s(%d)"
-          % (args.samples, "SU" if spec.group == SPECIAL_UNITARY else "U",
+          % (args.samples, "SU" if args.group == _SPECIAL_UNITARY else "U",
              args.N), file=sys.stderr)
-    est = estimate_trace_moment(args.p, args.n, src, spec,
-                                samples=args.samples, seed=args.seed)
-    exact, sector = _exact_trace_moment(args.p, args.n, src, spec.group)
+    est = haar_mc.estimate_trace_moment(args.p, args.n, src, spec,
+                                        samples=args.samples, seed=args.seed)
+    exact, sector = _exact_trace_moment(args.p, args.n, src, args.group)
     payload = {"p": args.p, "n": args.n, "N": args.N,
                "group": args.group, "sector": sector,
                "estimate": est.as_json_dict()}
@@ -353,7 +357,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         payload["exact"] = None
         payload["comparison"] = None
     else:
-        report = compare(est, exact, sigmas=args.sigmas)
+        report = haar_mc.compare(est, exact, sigmas=args.sigmas)
         payload["exact"] = report["exact"]
         payload["comparison"] = report
         if not report["pass"]:
@@ -412,9 +416,13 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     if any(not 1 <= x <= dim for x in i + j + k + l):
         print("error: indices must be in 1..%d" % dim, file=sys.stderr)
         return 2
-    if args.mc_samples and not (_sigmas_ok(args.sigmas) and _sampling_ok(
-            "--mc-samples", args.mc_samples, dim)):
-        return 2
+    if args.mc_samples:
+        if not (_sigmas_ok(args.sigmas) and _sampling_ok(
+                "--mc-samples", args.mc_samples, dim)):
+            return 2
+        from . import haar_mc
+        haar_mc.check_sampling(args.mc_samples, args.seed,
+                               haar_mc.MIN_MONOMIAL_SAMPLES)
     exact, sector = _exact_monomial(i, j, k, l, dim, args.group)
     payload = {"N": dim, "group": args.group, "sector": sector,
                "u": args.u, "udagger": args.udagger,
@@ -423,11 +431,12 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     status = 0
     if args.mc_samples:
         spec = _group_spec(args.group, dim)
-        est = estimate_monomial(i, j, k, l, spec,
-                                samples=args.mc_samples, seed=args.seed)
+        est = haar_mc.estimate_monomial(i, j, k, l, spec,
+                                        samples=args.mc_samples,
+                                        seed=args.seed)
         payload["estimate"] = est.as_json_dict()
         if exact is not None:
-            report = compare(est, complex(exact), sigmas=args.sigmas)
+            report = haar_mc.compare(est, complex(exact), sigmas=args.sigmas)
             payload["comparison"] = report
             if not report["pass"]:
                 status = 1
@@ -504,24 +513,26 @@ _SUITE_MC_ENTRIES = (len(_SUITE_MC_TRACE_CASES) * _SUITE_MC_TRACE_DIM ** 2
 
 
 def _suite_mc(samples: int, seed: int) -> list[dict]:
+    from . import haar_mc
     checks = []
     dim = _SUITE_MC_TRACE_DIM
-    src = random_source_matrices(dim, seed)
-    su = GroupSpec(SPECIAL_UNITARY, dim)
+    src = haar_mc.random_source_matrices(dim, seed)
+    su = _group_spec(_SPECIAL_UNITARY, dim)
     for name, p, n in _SUITE_MC_TRACE_CASES:
-        est = estimate_trace_moment(p, n, src, su,
-                                    samples=samples, seed=seed)
-        exact, _ = _exact_trace_moment(p, n, src, su.group)
-        report = compare(est, exact)
+        est = haar_mc.estimate_trace_moment(p, n, src, su,
+                                            samples=samples, seed=seed)
+        exact, _ = _exact_trace_moment(p, n, src, _SPECIAL_UNITARY)
+        report = haar_mc.compare(est, exact)
         checks.append({"name": name, "pass": report["pass"],
                        "pull": [report["pull_real"],
                                 report["pull_imag"]]})
-    su2 = GroupSpec(SPECIAL_UNITARY, _SUITE_MC_PAIR_DIM)
+    su2 = _group_spec(_SPECIAL_UNITARY, _SUITE_MC_PAIR_DIM)
     for cols in _SUITE_MC_PAIR_COLS:
-        est = estimate_monomial([1, 2], cols, [], [], su2,
-                                samples=samples, seed=seed)
-        exact, _ = _exact_monomial([1, 2], cols, [], [], su2.N, su2.group)
-        report = compare(est, complex(exact))
+        est = haar_mc.estimate_monomial([1, 2], cols, [], [], su2,
+                                        samples=samples, seed=seed)
+        exact, _ = _exact_monomial([1, 2], cols, [], [], su2.N,
+                                   _SPECIAL_UNITARY)
+        report = haar_mc.compare(est, complex(exact))
         checks.append({"name": "SU(2) bare pair cols=%s" % (cols,),
                        "pass": report["pass"],
                        "pull": [report["pull_real"],
@@ -537,10 +548,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "mc": lambda: _suite_mc(args.samples, args.seed),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    if "mc" in names and not _entries_ok(
-            "--samples", args.samples, str(_SUITE_MC_ENTRIES),
-            _SUITE_MC_ENTRIES, "for the mc suite"):
-        return 2
+    if "mc" in names:
+        if not _entries_ok("--samples", args.samples, str(_SUITE_MC_ENTRIES),
+                           _SUITE_MC_ENTRIES, "for the mc suite"):
+            return 2
+        from . import haar_mc
+        haar_mc.check_sampling(args.samples, args.seed,
+                               haar_mc.MIN_TRACE_SAMPLES)
     payload = {"suites": {}, "pass": True}
     for name in names:
         print("running suite %r" % name, file=sys.stderr)
@@ -599,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, required=True,
                       help="power of tr(J U^dagger)")
     p_mc.add_argument("--N", type=int, required=True)
-    p_mc.add_argument("--group", default="special-unitary",
-                      choices=["special-unitary", "unitary"])
+    p_mc.add_argument("--group", default=_SPECIAL_UNITARY,
+                      choices=[_SPECIAL_UNITARY, _UNITARY])
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--sigmas", type=float, default=5.0)
@@ -617,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "e.g. '1:2,2:1'")
     p_tensor.add_argument("--udagger", default="",
                           help="row:col pairs for conjugate factors")
-    p_tensor.add_argument("--group", default="special-unitary",
-                          choices=["special-unitary", "unitary"])
+    p_tensor.add_argument("--group", default=_SPECIAL_UNITARY,
+                          choices=[_SPECIAL_UNITARY, _UNITARY])
     p_tensor.add_argument("--mc-samples", type=int, default=0,
                           help="also cross-check by sampling")
     p_tensor.add_argument("--seed", type=int, default=0)

@@ -35,7 +35,10 @@ _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
 _CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
+MIN_TRACE_SAMPLES = 100
+MIN_MONOMIAL_SAMPLES = 2         # the fewest that give a standard error
 _ROUNDING_FLOOR = 8 * 2.0 ** -52  # relative: a few ulps of the compared values
+_NOT_FINITE = "estimate is not finite: sampled values overflow double precision"
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
@@ -141,6 +144,16 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must satisfy 0 <= seed < 2**63")
 
 
+def check_sampling(samples: int, seed: int, minimum: int) -> None:
+    """Raise ValueError unless an estimator may draw this many samples
+    (at least ``minimum``: ``MIN_TRACE_SAMPLES`` for
+    ``estimate_trace_moment``, ``MIN_MONOMIAL_SAMPLES`` for
+    ``estimate_monomial``) with this seed (0 <= seed < 2**63)."""
+    if samples < minimum:
+        raise ValueError(f"need at least {minimum} samples")
+    _check_seed(seed)
+
+
 def sample_haar(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed matrix drawn from the given generator."""
     return _haar_batch(spec, 1, rng)[0]
@@ -239,13 +252,23 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
 
     def moments(index: int) -> tuple[int, complex, float, float]:
         count = min(size, samples - index * size)
-        return _moments(values_of(_keyed_batch(spec, seed, index, count)))
+        # errstate holds per thread, so it is set where the batch runs;
+        # values beyond double range become inf or nan and merged refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _moments(values_of(_keyed_batch(spec, seed, index, count)))
 
     def merged(parts) -> MCEstimate:
         acc = _Accumulator()
-        for part in parts:
-            acc.add(*part)
-        return acc.estimate(seed)
+        try:
+            for part in parts:
+                acc.add(*part)
+        except OverflowError:    # squaring a batch mean beyond double range
+            raise ValueError(_NOT_FINITE) from None
+        est = acc.estimate(seed)
+        if not all(map(isfinite, (est.mean.real, est.mean.imag,
+                                  est.stderr_real, est.stderr_imag))):
+            raise ValueError(_NOT_FINITE)
+        return est
 
     workers = min(_CORES, batches)
     if workers <= 1:
@@ -311,9 +334,7 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
             f"group dimension {spec.N} does not match matrices {src.dim}")
     if p < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    _check_seed(seed)
+    check_sampling(samples, seed, MIN_TRACE_SAMPLES)
 
     def values_of(u: np.ndarray) -> np.ndarray:
         tku = np.einsum("ij,bji->b", src.K, u)
@@ -335,9 +356,7 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
     for lists in (i, j, k, l):
         if any(not 1 <= x <= spec.N for x in lists):
             raise ValueError("index out of range")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    _check_seed(seed)
+    check_sampling(samples, seed, MIN_MONOMIAL_SAMPLES)
 
     def values_of(u: np.ndarray) -> np.ndarray:
         values = np.ones(u.shape[0], dtype=complex)

@@ -1,13 +1,17 @@
 """End-to-end checks of the command line interface via main(argv)."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from sunint import cli
+from sunint import cli, haar_mc
 from sunint.cli import main
 
 
@@ -420,8 +424,8 @@ def test_bad_sigmas_exit_2_before_sampling(capsys, monkeypatch, argv,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled despite a bad --sigmas")
 
-    monkeypatch.setattr(cli, "estimate_trace_moment", no_sampling)
-    monkeypatch.setattr(cli, "estimate_monomial", no_sampling)
+    monkeypatch.setattr(haar_mc, "estimate_trace_moment", no_sampling)
+    monkeypatch.setattr(haar_mc, "estimate_monomial", no_sampling)
     code, out, err = run(capsys, *argv, "--sigmas", sigmas)
     assert code == 2
     assert out == ""
@@ -454,8 +458,9 @@ def test_sampling_above_cap_exits_2_before_sampling(capsys, monkeypatch,
         raise AssertionError("sampled above the cap")
 
     for name in ("estimate_trace_moment", "estimate_monomial",
-                 "random_source_matrices", "_suite_tables"):
-        monkeypatch.setattr(cli, name, no_sampling)
+                 "random_source_matrices"):
+        monkeypatch.setattr(haar_mc, name, no_sampling)
+    monkeypatch.setattr(cli, "_suite_tables", no_sampling)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -469,7 +474,7 @@ def test_sampling_at_cap_is_admitted(capsys, monkeypatch):
         calls.append(samples)
         raise ValueError("stop")
 
-    monkeypatch.setattr(cli, "estimate_trace_moment", fake_estimate)
+    monkeypatch.setattr(haar_mc, "estimate_trace_moment", fake_estimate)
     cap = cli._MAX_SAMPLED_ENTRIES // cli._MAX_SAMPLED_N ** 2
     code, _, err = run(capsys, "mc", "--p", "1", "--n", "1",
                        "--N", str(cli._MAX_SAMPLED_N), "--samples", str(cap))
@@ -487,12 +492,42 @@ def test_verify_mc_sampling_bound_counts_the_whole_suite(capsys,
         calls.append(samples)
         raise ValueError("stop")
 
-    monkeypatch.setattr(cli, "estimate_trace_moment", fake_estimate)
+    monkeypatch.setattr(haar_mc, "estimate_trace_moment", fake_estimate)
     cap = cli._MAX_SAMPLED_ENTRIES // 71
     code, out, err = run(capsys, "verify", "--suite", "mc",
                          "--samples", str(cap))
     assert calls == [cap]
     assert (code, err.splitlines()[-1]) == (2, "error: stop")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "0"),
+     "need at least 100 samples"),
+    (("tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
+      "--mc-samples", "1"), "need at least 2 samples"),
+    (("verify", "--suite", "all", "--samples", "50"),
+     "need at least 100 samples"),
+    (("verify", "--suite", "mc", "--seed", "-1"),
+     "seed must satisfy 0 <= seed < 2**63"),
+], ids=["mc-samples", "tensor-samples", "verify-all-samples",
+        "verify-mc-seed"])
+def test_sample_and_seed_refusals_come_before_any_work(capsys, argv,
+                                                       message):
+    # one stderr line: no progress line and no suite ran before the refusal
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("p", ["1000", "5000"])
+def test_mc_overflowing_moment_exits_2(capsys, p):
+    # |tr KU|^p leaves double range: at p = 1000 the batch moments are
+    # finite but the merge overflows, at p = 5000 the samples are inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "mc", "--p", p, "--n", "0", "--N", "2",
+                             "--group", "unitary", "--samples", "200")
+    assert (code, out) == (2, "")
+    assert "RuntimeWarning" not in err
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_mc_su1_shifted_passes_despite_rounding(capsys):
@@ -560,3 +595,72 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["entries"][0]["value"] == "1/N"
+
+
+# ------------------------------------------------------------ numpy-free
+
+def _fresh_python(script: str, *args: str) -> dict:
+    """Run script in a new interpreter that imports this sunint, and
+    return the JSON object it prints last."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_BLOCKED_NUMPY_MAIN = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on every numpy import raises
+from sunint import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = [name for name, module in sys.modules.items()
+          if name.partition(".")[0] == "numpy" and module is not None]
+print(json.dumps({"codes": codes, "numpy": loaded}))
+"""
+
+
+def test_exact_commands_run_with_numpy_blocked():
+    calls = [
+        ["coeffs", "--family", "weingarten", "--n", "4"],
+        ["coeffs", "--family", "su-shifted", "--n", "3",
+         "--method", "recursion"],
+        ["largen", "wd", "--order", "4", "--compare"],
+        ["largen", "ww", "--order", "3"],
+        ["tensor", "--N", "3", "--u", "1:1,2:2", "--udagger", "1:1,2:2"],
+        ["tensor", "--N", "2", "--u", "1:1,2:2"],
+        ["verify", "--suite", "tables"],
+        ["verify", "--suite", "shift"],
+        ["verify", "--suite", "largen"],
+    ]
+    facts = _fresh_python(_BLOCKED_NUMPY_MAIN, json.dumps(calls))
+    assert facts == {"codes": [0] * len(calls), "numpy": []}
+
+
+_LAZY_PACKAGE = """
+import json, sys
+import sunint
+facts = {"numpy_on_import": "numpy" in sys.modules}
+from sunint import estimate_trace_moment
+facts["unresolved"] = [name for name in sunint.__all__
+                       if not hasattr(sunint, name)]
+facts["same_object"] = sunint.sample_haar is sunint.haar_mc.sample_haar
+facts["all_in_dir"] = set(sunint.__all__) <= set(dir(sunint))
+try:
+    sunint.no_such_name
+    facts["unknown_raises"] = False
+except AttributeError:
+    facts["unknown_raises"] = True
+print(json.dumps(facts))
+"""
+
+
+def test_import_sunint_loads_numpy_on_first_numeric_name():
+    assert _fresh_python(_LAZY_PACKAGE) == {
+        "numpy_on_import": False, "unresolved": [], "same_object": True,
+        "all_in_dir": True, "unknown_raises": True}
