@@ -222,9 +222,11 @@ def poly_gcd(a: PolyN, b: PolyN) -> PolyN:
 def _primitive_gcd(a: PolyN, b: PolyN) -> PolyN:
     """A primitive integer polynomial that is a gcd of a and b over Q (the
     zero polynomial for gcd(0, 0)); its sign is not fixed."""
-    (a,), (b,) = _primitive([a]), _primitive([b])
     if a.degree < b.degree:
         a, b = b, a
+    if b.degree == 0:
+        return _POLY_ONE
+    (a,), (b,) = _primitive([a]), _primitive([b])
     while b.degree > 0:
         # lc(b)^(deg a - deg b + 1) * a divides by b without leaving Z
         rem = (a * b.leading ** (a.degree - b.degree + 1)).divmod(b)[1]
@@ -275,6 +277,13 @@ class RatFuncN:
     coprime contents, no common polynomial factor, and a positive leading
     denominator coefficient.  Zero is 0/1.  With that convention two equal
     values always have identical representations.
+
+    The constructor reduces by a full gcd.  Arithmetic on values already in
+    canonical form reduces only by the factors that can be shared (Henrici,
+    Knuth TAOCP vol. 2, 4.5.1): a sum a/b + c/d over g = gcd(b, d) can only
+    cancel gcd(numerator, g), and a product only gcd(a, d) and gcd(c, b).
+    Every path ends in ``_canonical``, which fixes content and sign, so the
+    representation is the same whichever way a value was computed.
     """
 
     __slots__ = ("num", "den")
@@ -284,19 +293,22 @@ class RatFuncN:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        if num.is_zero:
-            self.num, self.den = _POLY_ZERO, _POLY_ONE
-            return
-        # with num, den in Z[N] of joint content 1 and g primitive, both
-        # quotients stay in Z[N] with joint content 1 (Gauss's lemma)
+        # with num, den in Z[N] and g primitive, both quotients stay in Z[N]
+        # (Gauss's lemma)
         num, den = _primitive([num, den])
         g = _primitive_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        if den.leading < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
+        self.num, self.den = _canonical(num, den)
+
+    @classmethod
+    def _coprime(cls, num: PolyN, den: PolyN) -> RatFuncN:
+        """num/den for integer polynomials with no common factor of positive
+        degree, put in canonical form without a polynomial gcd."""
+        out = object.__new__(cls)
+        out.num, out.den = _canonical(num, den)
+        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -331,13 +343,23 @@ class RatFuncN:
 
     def __add__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
         other = _as_ratfunc(other)
-        return RatFuncN(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _primitive_gcd(b, d)
+        if g.degree <= 0:
+            return RatFuncN._coprime(a * d + c * b, b * d)
+        b, d = b.exact_div(g), d.exact_div(g)
+        num = a * d + c * b
+        den = self.den * d
+        # a factor of b/g or d/g cannot divide num, so only g's can cancel
+        h = _primitive_gcd(num, g)
+        if h.degree > 0:
+            num, den = num.exact_div(h), den.exact_div(h)
+        return RatFuncN._coprime(num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> RatFuncN:
-        return RatFuncN(-self.num, self.den)
+        return RatFuncN._coprime(-self.num, self.den)
 
     def __sub__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
         return self + (-_as_ratfunc(other))
@@ -346,9 +368,10 @@ class RatFuncN:
         return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
-        if isinstance(other, RatFuncN):
-            return RatFuncN(self.num * other.num, self.den * other.den)
-        return RatFuncN(self.num * _as_poly(other), self.den)
+        other = _as_ratfunc(other)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return RatFuncN._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -356,15 +379,17 @@ class RatFuncN:
         other = _as_ratfunc(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFuncN(self.num * other.den, self.den * other.num)
+        return self * RatFuncN._coprime(other.den, other.num)
 
     def __rtruediv__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
         return _as_ratfunc(other) / self
 
     def __pow__(self, k: int) -> RatFuncN:
         if k < 0:
-            return RatFuncN(self.den ** (-k), self.num ** (-k))
-        return RatFuncN(self.num ** k, self.den ** k)
+            if self.is_zero:
+                raise ZeroDivisionError("division by zero rational function")
+            return RatFuncN._coprime(self.den ** (-k), self.num ** (-k))
+        return RatFuncN._coprime(self.num ** k, self.den ** k)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact substitution N = x; raises ZeroDivisionError at a pole."""
@@ -374,8 +399,10 @@ class RatFuncN:
         return Fraction(self.num(x), d)
 
     def shifted(self, delta: int = 1) -> RatFuncN:
-        """The function with N replaced by N + delta, re-canonicalized."""
-        return RatFuncN(self.num.shifted(delta), self.den.shifted(delta))
+        """The function with N replaced by N + delta.  The shift is a ring
+        automorphism of Z[N], so the result is canonical as it stands."""
+        return RatFuncN._coprime(self.num.shifted(delta),
+                                 self.den.shifted(delta))
 
     def limit_at_infinity(self) -> Fraction:
         """Limit as N -> infinity; raises ValueError when divergent."""
@@ -409,6 +436,31 @@ def _as_ratfunc(x: RatFuncN | PolyN | Scalar) -> RatFuncN:
     if isinstance(x, RatFuncN):
         return x
     return RatFuncN(_as_poly(x))
+
+
+def _canonical(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
+    """The canonical pair for num/den, where num and den are integer
+    polynomials with no common factor of positive degree: their joint
+    content divided out and the leading denominator coefficient made
+    positive."""
+    if num.is_zero:
+        return _POLY_ZERO, _POLY_ONE
+    c = gcd(*num.coeffs, *den.coeffs)
+    if den.leading < 0:
+        c = -c
+    if c == 1:
+        return num, den
+    # c divides every coefficient, so // is exact and stays in Z
+    return (PolyN([x // c for x in num.coeffs]),
+            PolyN([x // c for x in den.coeffs]))
+
+
+def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
+    """num and den, both divided by their gcd of positive degree, if any."""
+    g = _primitive_gcd(num, den)
+    if g.degree <= 0:
+        return num, den
+    return num.exact_div(g), den.exact_div(g)
 
 
 # -- parsing ---------------------------------------------------------------

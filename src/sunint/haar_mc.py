@@ -306,8 +306,12 @@ class _Accumulator:
     def add(self, b: int, mean_b: complex, m2r: float, m2i: float) -> None:
         total = self.count + b
         delta = mean_b - self.mean
-        self.m2_real += m2r + delta.real ** 2 * self.count * b / total
-        self.m2_imag += m2i + delta.imag ** 2 * self.count * b / total
+        if self.count:
+            self.m2_real += m2r + delta.real ** 2 * self.count * b / total
+            self.m2_imag += m2i + delta.imag ** 2 * self.count * b / total
+        else:    # the first batch's delta has weight zero: do not square it
+            self.m2_real += m2r
+            self.m2_imag += m2i
         self.mean += delta * (b / total)
         self.count = total
 

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Sequence
 
 from .exactmath import N, PolyN, RatFuncN
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, class_size, enumerate_partitions
 from .weingarten import (
     MAX_WEIGHT,
     CoeffTable,
+    _class_sums,
     _cycle_type,
+    _linear_product,
     recursion_step,
     weingarten_table_character,
 )
@@ -51,12 +53,18 @@ def epsilon_integral(i: Sequence[int], j: Sequence[int],
 @lru_cache(maxsize=None)
 def shifted_table(n: int) -> CoeffTable:
     """Determinant-sector table via the dimension-shift relation:
-    entry(alpha) = (N+n)(N+n-1)...(N+1) * balanced entry(alpha) at N+1."""
+    entry(alpha) = (N+n)(N+n-1)...(N+1) * balanced entry(alpha) at N+1.
+
+    Each entry is built once from the balanced character sum's numerator at
+    N+1 over its common denominator n! D(N+1), in which (N+1)...(N+n)
+    cancels one power of each factor N+1+k with 0 <= k < n."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    base = weingarten_table_character(n)
-    scale = prod((N + k for k in range(1, n + 1)), start=PolyN([1]))
-    entries = {a: scale * v.shifted(1) for a, v in base.entries.items()}
+    exponents, _, numerators = _class_sums(n)
+    den = factorial(n) * _linear_product(
+        {k: m - (k >= 0) for k, m in exponents.items()}, shift=1)
+    entries = {a: RatFuncN(class_size(a) * numerators[a].shifted(1), den)
+               for a in enumerate_partitions(n)}
     return CoeffTable(n=n, family="su-shifted", entries=entries)
 
 

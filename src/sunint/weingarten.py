@@ -12,10 +12,11 @@ test, not an implementation shortcut: neither calls the other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .exactmath import (
@@ -28,7 +29,6 @@ from .partitions import (
     Partition,
     class_size,
     character,
-    dim_gl,
     dim_sn,
     enumerate_partitions,
 )
@@ -74,24 +74,68 @@ class CoeffTable:
         }
 
 
+def _linear_product(exponents: dict[int, int], shift: int = 0) -> PolyN:
+    """prod over k of (N + shift + k)^exponents[k]."""
+    return prod(((N + (shift + k)) ** e for k, e in exponents.items()),
+                start=PolyN([1]))
+
+
+@lru_cache(maxsize=None)
+def _class_sums(n: int) -> tuple[dict[int, int], PolyN,
+                                 dict[Partition, PolyN]]:
+    """The character sum of weight n over one common denominator.
+
+    By the hook-content formula dim_gl(lam) = prod over cells of (N + c) /
+    H(lam), with c = column - row the cell's content, so every term of C
+    divides D(N) = prod_k (N + k)^{m_k}, where m_k is the largest number of
+    cells of content k in any lam of weight n.  The weight of lam is
+    dim_sn(lam)^2 H(lam) / n!^2 = dim_sn(lam) / n!, so
+
+        n! D(N) C(alpha) = sum_lam dim_sn(lam) chi^lam(alpha)
+                           * prod_k (N + k)^{m_k - c_lam(k)},
+
+    an integer polynomial.  Returns the exponents m_k, the denominator
+    n! D(N) and that numerator for every class alpha of weight n.
+    """
+    diagrams = enumerate_partitions(n)
+    contents = [Counter(j - i for i, r in enumerate(lam.parts)
+                        for j in range(r)) for lam in diagrams]
+    exponents: dict[int, int] = {}
+    for counts in contents:
+        for k, m in counts.items():
+            exponents[k] = max(exponents.get(k, 0), m)
+    terms = [(lam, dim_sn(lam), _linear_product(
+                 {k: m - counts[k] for k, m in exponents.items()}).coeffs)
+             for lam, counts in zip(diagrams, contents)]
+    numerators = {}
+    for alpha in diagrams:
+        acc = [0] * len(terms[0][2])
+        for lam, dim, cofactor in terms:
+            weight = dim * character(lam, alpha)
+            if weight:
+                for i, c in enumerate(cofactor):
+                    acc[i] += weight * c
+        numerators[alpha] = PolyN(acc)
+    return exponents, factorial(n) * _linear_product(exponents), numerators
+
+
 @lru_cache(maxsize=None)
 def weingarten_class_coefficient(alpha: Partition) -> RatFuncN:
     """The class function C on S_n whose permutation-pair sum gives the
     balanced-sector integral: sum over irreducibles lam of weight n of
-    dim(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam))."""
-    n = alpha.weight
-    total = RatFuncN(0)
-    scale = Fraction(1, factorial(n) ** 2)
-    for lam in enumerate_partitions(n):
-        num = scale * dim_sn(lam) ** 2 * character(lam, alpha)
-        if num:
-            total = total + RatFuncN(PolyN([num]), dim_gl(lam))
-    return total
+    dim(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam)).
+
+    The sum is taken as one integer polynomial over the common denominator
+    n! D(N) of the whole weight (see ``_class_sums``), so each value is
+    reduced once."""
+    _, den, numerators = _class_sums(alpha.weight)
+    return RatFuncN(numerators[alpha], den)
 
 
 def weingarten_table_character(n: int) -> CoeffTable:
     """Coefficient table for the balanced sector via the character formula:
-    entry(alpha) = class_size(alpha) * C(alpha)."""
+    entry(alpha) = class_size(alpha) * C(alpha), with one common-denominator
+    character sum per weight and no solver or recursion."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
     entries = {a: class_size(a) * weingarten_class_coefficient(a)

@@ -530,6 +530,29 @@ def test_mc_overflowing_moment_exits_2(capsys, p):
     assert err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("p", ["160", "200"])
+def test_mc_first_batch_mean_is_not_squared(capsys, tmp_path, p):
+    # every SU(1) sample of (tr KU)^p with K = 10 is 10^p.  At p = 160 the
+    # mean is finite and only squaring it (a merge term of weight zero for
+    # the first batch) would overflow; at p = 200 the batch's own second
+    # moment overflows, so the call is refused
+    path = tmp_path / "src.json"
+    path.write_text(json.dumps({"N": 1, "J": [[1, 0]], "K": [[10, 0]]}))
+    code, out, err = run(capsys, "mc", "--p", p, "--n", "0", "--N", "1",
+                         "--samples", "100", "--matrices", str(path))
+    if p == "200":
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "error: estimate is not finite: sampled values overflow double "
+            "precision")
+        return
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sector"] == "outside-range"
+    assert payload["estimate"]["mean"][0] == pytest.approx(1e160, rel=1e-12)
+    assert payload["estimate"]["stderr_real"] == 0.0
+
+
 def test_mc_su1_shifted_passes_despite_rounding(capsys):
     # every SU(1) sample is the identity, so the estimate equals det K up to
     # rounding and its stderr is rounding too; that is not a deviation

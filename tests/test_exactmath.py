@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sunint.exactmath import (
@@ -266,6 +266,51 @@ def test_poly_gcd_with_zero(a):
     monic = PolyN() if not a else a * Fraction(1, a.leading)
     assert poly_gcd(a, PolyN()) == monic and poly_gcd(PolyN(), a) == monic
     assert poly_gcd(PolyN(), PolyN()) == 0
+
+
+# products of (N + k)^e over a few k, so that two draws often share factors
+# with each other's numerators and denominators
+_shared_factors = st.dictionaries(st.integers(-3, 3), st.integers(1, 3),
+                                  max_size=4).map(
+    lambda ex: prod(((N + k) ** e for k, e in ex.items()), start=PolyN([1])))
+_shared_ratfunc = st.builds(lambda p, f, d: RatFuncN(p * f, d),
+                            _poly, _shared_factors, _shared_factors)
+
+
+def _ratfunc_of(x):
+    return x if isinstance(x, RatFuncN) else RatFuncN(x)
+
+
+def _plain_sum(a, b, sign):
+    a, b = _ratfunc_of(a), _ratfunc_of(b)
+    return RatFuncN(a.num * b.den + sign * b.num * a.den, a.den * b.den)
+
+
+def _plain_product(a, b):
+    a, b = _ratfunc_of(a), _ratfunc_of(b)
+    return RatFuncN(a.num * b.num, a.den * b.den)
+
+
+@settings(deadline=None)
+@given(_shared_ratfunc,
+       st.one_of(_shared_ratfunc, _poly, st.integers(-6, 6),
+                 st.fractions(-3, 3, max_denominator=4)))
+# sums whose numerator shares a factor with gcd(b, d): N and N + 1
+@example(RatFuncN(1, N * (N + 1)), RatFuncN(1, N * (N - 1)))
+@example(RatFuncN(1, N + 1), RatFuncN(N, N + 1))
+def test_henrici_arithmetic_matches_full_reduction(a, b):
+    # sums and products reduce only by the factors that can be shared; the
+    # result must be the representation of a full reduction, in either order
+    for got, want in ((a + b, _plain_sum(a, b, 1)),
+                      (b + a, _plain_sum(b, a, 1)),
+                      (a - b, _plain_sum(a, b, -1)),
+                      (b - a, _plain_sum(b, a, -1)),
+                      (a * b, _plain_product(a, b)),
+                      (b * a, _plain_product(b, a))):
+        assert isinstance(got, RatFuncN)
+        assert got.num.coeffs == want.num.coeffs
+        assert got.den.coeffs == want.den.coeffs
+        assert str(got) == str(want)
 
 
 def test_high_degree_common_factor_cancels():

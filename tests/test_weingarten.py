@@ -1,15 +1,25 @@
 """Balanced-sector coefficient tables and the exact tensor integral."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sunint.exactmath import N, RatFuncN
+from sunint.exactmath import N, PolyN, RatFuncN
 from sunint.haar_mc import SourceMatrices, eval_ordinary
-from sunint.partitions import Partition, enumerate_partitions
+from sunint.partitions import (
+    Partition,
+    character,
+    class_size,
+    dim_gl,
+    dim_sn,
+    enumerate_partitions,
+)
 from sunint.reference import reference_table
+from sunint.su_shifted import shifted_table
 from sunint.weingarten import (
     MAX_WEIGHT,
     CoeffTable,
@@ -47,6 +57,56 @@ def test_recursive_equals_character():
         tr = weingarten_table_recursive(n)
         for alpha in tc.entries:
             assert tc[alpha] == tr[alpha], (n, alpha.to_string())
+
+
+def _per_diagram_coefficient(alpha):
+    """C(alpha) as one reduced term per diagram, each sum reduced in full:
+    sum over lam of dim_sn(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam))."""
+    n = alpha.weight
+    total = RatFuncN(0)
+    for lam in enumerate_partitions(n):
+        weight = Fraction(dim_sn(lam) ** 2 * character(lam, alpha),
+                          factorial(n) ** 2)
+        if weight:
+            term = RatFuncN(PolyN([weight]), dim_gl(lam))
+            total = RatFuncN(total.num * term.den + term.num * total.den,
+                             total.den * term.den)
+    return total
+
+
+def _content_bound(n, shift):
+    """D(N + shift) = prod_k (N + shift + k)^{m_k}, m_k the most cells of
+    content k in any diagram of weight n."""
+    most = Counter()
+    for lam in enumerate_partitions(n):
+        cells = Counter(j - i for i, r in enumerate(lam.parts)
+                        for j in range(r))
+        most |= cells
+    return prod(((N + shift + k) ** m for k, m in most.items()),
+                start=PolyN([1]))
+
+
+def test_character_route_equals_per_diagram_sum():
+    for n in range(MAX_WEIGHT + 1):
+        balanced = weingarten_table_character(n)
+        shifted = shifted_table(n)
+        rise = prod((N + k for k in range(1, n + 1)), start=PolyN([1]))
+        bounds = _content_bound(n, 0), _content_bound(n, 1)
+        for alpha in enumerate_partitions(n):
+            coefficient = _per_diagram_coefficient(alpha)
+            entry = RatFuncN(class_size(alpha) * coefficient.num,
+                             coefficient.den)
+            up = RatFuncN(rise * entry.num.shifted(1), entry.den.shifted(1))
+            assert str(weingarten_class_coefficient(alpha)) == \
+                str(coefficient), (n, alpha.to_string())
+            assert str(balanced[alpha]) == str(entry), (n, alpha.to_string())
+            assert class_size(alpha) * weingarten_class_coefficient(alpha) \
+                == balanced[alpha]
+            assert str(shifted[alpha]) == str(up), (n, alpha.to_string())
+            for value, bound in zip((balanced[alpha], shifted[alpha]),
+                                    bounds):
+                assert bound.divmod(value.den)[1].is_zero, \
+                    (n, alpha.to_string())
 
 
 def test_sign_law():
