@@ -135,6 +135,37 @@ def test_parse_rejects_garbage():
             parse_ratfunc(bad)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("007", RatFuncN(7)),
+    ("N^02", RatFuncN(N**2)),
+    ("-N^2", RatFuncN(-N**2)),
+    ("(2^3)^2", RatFuncN(64)),
+    ("--N", RatFuncN(N)),
+    ("2*-N", RatFuncN(-2 * N)),
+    ("N\n/ 2\t/\n\t3", RatFuncN(N, 6)),
+    ("N2", ValueError),
+    ("NN", ValueError),
+    ("N**2", ValueError),
+    ("1_0", ValueError),
+    ("1.5", ValueError),
+    ("2^3^2", ValueError),
+    ("N^-1", ValueError),
+    ("N^+2", ValueError),
+    ("N^(2)", ValueError),
+    ("()", ValueError),
+    ("(N, 1)", ValueError),
+    ("N(1)", ValueError),
+    ("", ValueError),
+    ("1/0", ZeroDivisionError),
+])
+def test_parse_edge_cases(text, value):
+    if isinstance(value, type):
+        with pytest.raises(value):
+            parse_ratfunc(text)
+    else:
+        assert parse_ratfunc(text) == value
+
+
 def test_parse_matches_constructed():
     assert parse_ratfunc("-3/((N^2 - 4)*(N^2 - 1))") == RatFuncN(
         -3, (N**2 - 4) * (N**2 - 1))
