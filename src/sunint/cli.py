@@ -246,18 +246,19 @@ def _group_spec(name: str, dim: int) -> GroupSpec:
     return haar_mc.GroupSpec(group, dim)
 
 
-def _sector(group: str, p: int, n: int, dim: int, cap: int) -> str:
+def _sector(group: str, p: int, n: int, dim: int) -> str:
     """Sector of an integral with p factors of U and n of U-dagger over
     U(dim) or SU(dim): the value is zero in "unbalanced" (U(dim), p != n)
     and "charge-mismatch" (SU(dim), p - n not a multiple of dim).  The
     balanced (p = n) and shifted (p = n + dim) sectors are known exactly for
-    weight n < dim up to the cap; above it they are "balanced-high-weight"
-    and "outside-range", as is every other p - n."""
+    weight n < dim up to MAX_WEIGHT (tensor refuses n > MAX_TENSOR_WEIGHT
+    first); above it they are "balanced-high-weight" and "outside-range",
+    as is every other p - n."""
     if group == _UNITARY and p != n:
         return "unbalanced"
     if (p - n) % dim:
         return "charge-mismatch"
-    known = n < dim and n <= cap
+    known = n < dim and n <= MAX_WEIGHT
     if p == n:
         return "balanced" if known else "balanced-high-weight"
     return "shifted" if p - n == dim and known else "outside-range"
@@ -274,7 +275,7 @@ def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
     outside the implemented range.
     """
     from . import haar_mc
-    sector = _sector(group, p, n, src.dim, MAX_WEIGHT)
+    sector = _sector(group, p, n, src.dim)
     if sector in _ZERO_SECTORS:
         return 0.0, sector
     if sector == "balanced":
@@ -385,7 +386,7 @@ def _exact_monomial(i: list[int], j: list[int], k: list[int], l: list[int],
                     dim: int, group: str) -> tuple[Fraction | None, str]:
     """Exact value of one tensor-level integral when known, with its sector
     label; the shifted sector is known here only at n = 0 (epsilon)."""
-    sector = _sector(group, len(i), len(k), dim, MAX_TENSOR_WEIGHT)
+    sector = _sector(group, len(i), len(k), dim)
     if sector in _ZERO_SECTORS:
         return Fraction(0), sector
     if sector == "balanced":

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: polynomials and rational functions of the matrix
-dimension N, plus exact linear solving over that field by fraction-free
+dimension N, a reader for expressions in N (Python's ``ast`` parser with a
+node whitelist), and exact linear solving over that field by fraction-free
 elimination in Z[N].
 
 Coefficients are exact rationals: an ``int`` when integral, else a reduced
@@ -17,6 +18,9 @@ threads.
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -293,14 +297,9 @@ class RatFuncN:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        # with num, den in Z[N] and g primitive, both quotients stay in Z[N]
-        # (Gauss's lemma)
-        num, den = _primitive([num, den])
-        g = _primitive_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        self.num, self.den = _canonical(num, den)
+        # with num, den in Z[N] and their gcd primitive, both quotients stay
+        # in Z[N] (Gauss's lemma)
+        self.num, self.den = _canonical(*_cancel(*_primitive([num, den])))
 
     @classmethod
     def _coprime(cls, num: PolyN, den: PolyN) -> RatFuncN:
@@ -464,107 +463,60 @@ def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
 
 
 # -- parsing ---------------------------------------------------------------
-#
-# Grammar (whitespace-insensitive):
-#   expr   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*
-#   factor := ('+'|'-')* atom ('^' uint)?
-#   atom   := uint | 'N' | '(' expr ')'
-#
-# This accepts everything format_poly / str(RatFuncN) emit, plus factored
-# input like "8*(2*N^2 - 3)/((N^2 - 9)*N^2)".
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        toks: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-            elif ch in "+-*/^()N":
-                toks.append(ch)
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
-        return toks
-
-    def _peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def _next(self) -> str:
-        tok = self._peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> RatFuncN:
-        value = self._expr()
-        if self._peek() is not None:
-            raise ValueError(f"trailing input at token {self._peek()!r}")
-        return value
-
-    def _expr(self) -> RatFuncN:
-        value = self._term()
-        while self._peek() in ("+", "-"):
-            if self._next() == "+":
-                value = value + self._term()
-            else:
-                value = value - self._term()
-        return value
-
-    def _term(self) -> RatFuncN:
-        value = self._factor()
-        while self._peek() in ("*", "/"):
-            if self._next() == "*":
-                value = value * self._factor()
-            else:
-                value = value / self._factor()
-        return value
-
-    def _factor(self) -> RatFuncN:
-        sign = 1
-        while self._peek() in ("+", "-"):
-            if self._next() == "-":
-                sign = -sign
-        value = self._atom()
-        if self._peek() == "^":
-            self._next()
-            tok = self._next()
-            if not tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            value = value ** int(tok)
-        return sign * value
-
-    def _atom(self) -> RatFuncN:
-        tok = self._next()
-        if tok.isdigit():
-            return RatFuncN(int(tok))
-        if tok == "N":
-            return RatFuncN(N)
-        if tok == "(":
-            value = self._expr()
-            if self._next() != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        raise ValueError(f"unexpected token {tok!r}")
+# the grammar's characters, every '^' followed by digits: ast drops the
+# parentheses of N^(2), which the grammar refuses
+_ALPHABET = re.compile(r"(?:[0-9N+\-*/()\s]|\^\s*[0-9])*")
+_LEADING_ZEROS = re.compile(r"\b0+(?=[0-9])")
+_UNARY = {ast.UAdd: lambda value: value, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_ratfunc(text: str) -> RatFuncN:
-    """Parse an expression in N (integers, + - * / ^, parentheses)."""
-    return _Parser(text).parse()
+    """Parse an expression in N.
+
+    Grammar (whitespace-insensitive): integers, the symbol N, parentheses,
+    unary and binary + and -, * and /, and ``^`` with a nonnegative integer
+    literal as exponent; ``^`` binds tighter than unary minus and does not
+    chain.  With ``^`` spelled ``**`` this is Python's expression grammar
+    with Python's precedence, so ``ast.parse`` reads the text and a
+    whitelist evaluates the tree: int constants, the name N, unary + and -,
+    binary + - * /, and ``**`` with an int literal exponent.  Nothing is
+    compiled or executed.  Any other character or node, malformed text and
+    input nested beyond Python's recursion limit raise ValueError; a zero
+    divisor raises ZeroDivisionError.  This accepts everything
+    ``str(RatFuncN)`` emits, plus factored input like
+    ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
+    """
+    if not _ALPHABET.fullmatch(text) or "**" in text:
+        raise ValueError("unexpected character or exponent in expression")
+    # one line of Python with no leading zeros, which its tokenizer refuses
+    source = _LEADING_ZEROS.sub("", " ".join(text.split()))
+    try:
+        tree = ast.parse(source.replace("^", "**"), mode="eval")
+        return _evaluate(tree.body)
+    except SyntaxError as exc:
+        raise ValueError(f"malformed expression: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
+
+
+def _evaluate(node: ast.expr) -> RatFuncN:
+    op = type(getattr(node, "op", None))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return RatFuncN(node.value)
+    if isinstance(node, ast.Name) and node.id == "N":
+        return RatFuncN(N)
+    if isinstance(node, ast.UnaryOp) and op in _UNARY:
+        return _UNARY[op](_evaluate(node.operand))
+    if isinstance(node, ast.BinOp) and op in _BINARY:
+        return _BINARY[op](_evaluate(node.left), _evaluate(node.right))
+    if (isinstance(node, ast.BinOp) and op is ast.Pow
+            and isinstance(node.right, ast.Constant)
+            and type(node.right.value) is int):
+        return _evaluate(node.left) ** node.right.value
+    raise ValueError(f"unsupported {type(node).__name__} in expression")
 
 
 # -- linear solving ----------------------------------------------------------

@@ -166,6 +166,14 @@ def test_parse_edge_cases(text, value):
         assert parse_ratfunc(text) == value
 
 
+def test_parse_refuses_oversized_input_with_value_error():
+    # the packaged tables need 57 characters at most; text nested past
+    # Python's recursion limit is malformed input, not a crash
+    for text in ["+".join(["N"] * 3000), "(" * 300 + "N" + ")" * 300]:
+        with pytest.raises(ValueError):
+            parse_ratfunc(text)
+
+
 def test_parse_matches_constructed():
     assert parse_ratfunc("-3/((N^2 - 4)*(N^2 - 1))") == RatFuncN(
         -3, (N**2 - 4) * (N**2 - 1))
