@@ -350,21 +350,15 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     est = haar_mc.estimate_trace_moment(args.p, args.n, src, spec,
                                         samples=args.samples, seed=args.seed)
     exact, sector = _exact_trace_moment(args.p, args.n, src, args.group)
+    report = (None if exact is None
+              else haar_mc.compare(est, exact, sigmas=args.sigmas))
     payload = {"p": args.p, "n": args.n, "N": args.N,
                "group": args.group, "sector": sector,
-               "estimate": est.as_json_dict()}
-    status = 0
-    if exact is None:
-        payload["exact"] = None
-        payload["comparison"] = None
-    else:
-        report = haar_mc.compare(est, exact, sigmas=args.sigmas)
-        payload["exact"] = report["exact"]
-        payload["comparison"] = report
-        if not report["pass"]:
-            status = 1
+               "estimate": est.as_json_dict(),
+               "exact": None if report is None else report["exact"],
+               "comparison": report}
     _emit(_json_text(payload), args.output)
-    return status
+    return 0 if report is None or report["pass"] else 1
 
 
 # --------------------------------------------------------------- tensor
@@ -439,8 +433,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         if exact is not None:
             report = haar_mc.compare(est, complex(exact), sigmas=args.sigmas)
             payload["comparison"] = report
-            if not report["pass"]:
-                status = 1
+            status = 0 if report["pass"] else 1
     _emit(_json_text(payload), args.output)
     return status
 

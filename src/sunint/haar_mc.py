@@ -12,7 +12,9 @@ same whether k or the whole batch is drawn, and only the samples asked for
 are drawn.  The value of sample s therefore depends only on (seed, N, s),
 not on how many samples were requested.  Batches run on a thread pool of
 at most one worker per visible core, and their moments are merged in batch
-order, so every estimate is bit-identical for any worker count.
+order, so every estimate is bit-identical for any worker count.  A worker
+takes its batch in chunks of about 2**17 entries, so peak memory stays
+small and does not depend on how the workers' batches overlap in time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .weingarten import SectorError, weingarten_table_character
 
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
+_CHUNK_ENTRIES = 2 ** 17         # bounds one worker's live arrays
 _CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
@@ -227,11 +230,16 @@ def _batch_size(dim: int) -> int:
     return max(1, min(BATCH, _BATCH_ENTRIES // dim ** 2))
 
 
-def _keyed_batch(spec: GroupSpec, seed: int, index: int,
-                 count: int) -> np.ndarray:
-    """The first count samples of batch index, from its own Philox stream."""
+def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
+                 values_of: Callable = lambda u: u) -> np.ndarray:
+    """values_of over the first count samples of batch index, drawn from the
+    batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
+    entries; the chunks continue the stream, so they are one draw."""
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
-    return _haar_batch(spec, count, rng)
+    parts = min(count, -(-count * spec.N ** 2 // _CHUNK_ENTRIES))
+    return np.concatenate([values_of(_haar_batch(
+        spec, (k + 1) * count // parts - k * count // parts, rng))
+        for k in range(parts)])
 
 
 def _moments(values: np.ndarray) -> tuple[int, complex, float, float]:
@@ -255,7 +263,7 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
         # errstate holds per thread, so it is set where the batch runs;
         # values beyond double range become inf or nan and merged refuses them
         with np.errstate(over="ignore", invalid="ignore"):
-            return _moments(values_of(_keyed_batch(spec, seed, index, count)))
+            return _moments(_keyed_batch(spec, seed, index, count, values_of))
 
     def merged(parts) -> MCEstimate:
         acc = _Accumulator()

@@ -202,6 +202,22 @@ def test_batch_draw_is_prefix_stable(group, dim):
     assert (_keyed_batch(spec, 13, 4, 100) == full[:100]).all()
 
 
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [3, 7, 8, 32, 400])
+def test_chunked_batch_is_one_draw(group, dim):
+    # a worker draws its batch in chunks of about _CHUNK_ENTRIES entries
+    # from the batch's one stream: together they are the samples of a
+    # single draw of the whole batch, bit for bit
+    spec = GroupSpec(group, dim)
+    size = _batch_size(dim)
+    chunks = _keyed_batch(spec, 13, 4, size, lambda u: [len(u)])
+    assert chunks.sum() == size and chunks.min() >= 1
+    assert chunks.max() * dim ** 2 <= haar_mc._CHUNK_ENTRIES + dim ** 2
+    one = _haar_batch(spec, size, np.random.Generator(
+        np.random.Philox(key=(13 << 64) + 4)))
+    assert (_keyed_batch(spec, 13, 4, size) == one).all()
+
+
 def test_batch_size_bounds_the_working_set():
     assert [_batch_size(n) for n in (1, 3, 8, 16, 32, 128, 1024)] == \
         [8192, 8192, 8192, 2048, 512, 32, 1]
