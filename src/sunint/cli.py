@@ -180,10 +180,13 @@ _SERIES = {
 }
 
 # Largest --order per route, so every call ends in bounded time.  On a
-# 2-vCPU box closed and ww take 9 s at order 38 (11 s at 39), and the fixed
-# point, whose cost grows about 1.7x per order, takes 1.9 s at order 16.
-# Its cap stays at 16 on purpose: a higher cap would change which calls
-# exit 2, and that is a change of CLI behaviour of its own.
+# 2-vCPU box closed and ww take 9 s at order 38 (11 s at 39), the fixed
+# point, whose cost grows about 1.9x per order, 1.0-1.2 s at order 16, and
+# the finite-N route, tables included, 0.06 s at order 8 and 0.7-1.1 s at
+# order 12.  The fixed-point and finite-N caps stay at 16 and 4 on purpose:
+# a higher cap changes which calls exit 2, a change of CLI behaviour of its
+# own, and a finite-N cap of 8 or more also changes the output of
+# `largen wd --order 8 --compare`.
 _ORDER_CAPS = {"closed": 38, "fixedpoint": 16, "finite-n": 4}
 
 

@@ -145,8 +145,9 @@ class PolyN:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -472,6 +473,13 @@ _UNARY = {ast.UAdd: lambda value: value, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv}
 
+#: Largest power of any subexpression that ``parse_ratfunc`` computes: an
+#: exponent times the exponents of the powers around it.  Printed tables
+#: use at most N^35 (weight 12).  A power's time grows with the square of
+#: its result's size: on a 2-vCPU box (N+1)^256 takes 4 ms, a 40-character
+#: base to the 256th about 1 s, and (N+1)^2000 1.4 s.
+MAX_EXPONENT = 256
+
 
 def parse_ratfunc(text: str) -> RatFuncN:
     """Parse an expression in N.
@@ -484,10 +492,11 @@ def parse_ratfunc(text: str) -> RatFuncN:
     whitelist evaluates the tree: int constants, the name N, unary + and -,
     binary + - * /, and ``**`` with an int literal exponent.  Nothing is
     compiled or executed.  Any other character or node, malformed text and
-    input nested beyond Python's recursion limit raise ValueError; a zero
-    divisor raises ZeroDivisionError.  This accepts everything
-    ``str(RatFuncN)`` emits, plus factored input like
-    ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
+    input nested beyond Python's recursion limit raise ValueError, and so
+    does an exponent that, times the exponents of the powers around it,
+    exceeds ``MAX_EXPONENT``; a zero divisor raises ZeroDivisionError.
+    This accepts everything ``str(RatFuncN)`` emits, plus factored input
+    like ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
     """
     if not _ALPHABET.fullmatch(text) or "**" in text:
         raise ValueError("unexpected character or exponent in expression")
@@ -502,20 +511,26 @@ def parse_ratfunc(text: str) -> RatFuncN:
         raise ValueError("expression nested too deeply") from None
 
 
-def _evaluate(node: ast.expr) -> RatFuncN:
+def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
+    """The value of node, which sits inside powers whose exponents multiply
+    to power (zero exponents count as one)."""
     op = type(getattr(node, "op", None))
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return RatFuncN(node.value)
     if isinstance(node, ast.Name) and node.id == "N":
         return RatFuncN(N)
     if isinstance(node, ast.UnaryOp) and op in _UNARY:
-        return _UNARY[op](_evaluate(node.operand))
+        return _UNARY[op](_evaluate(node.operand, power))
     if isinstance(node, ast.BinOp) and op in _BINARY:
-        return _BINARY[op](_evaluate(node.left), _evaluate(node.right))
+        return _BINARY[op](_evaluate(node.left, power),
+                           _evaluate(node.right, power))
     if (isinstance(node, ast.BinOp) and op is ast.Pow
             and isinstance(node.right, ast.Constant)
             and type(node.right.value) is int):
-        return _evaluate(node.left) ** node.right.value
+        power *= max(node.right.value, 1)
+        if power > MAX_EXPONENT:
+            raise ValueError(f"exponent above {MAX_EXPONENT} in expression")
+        return _evaluate(node.left, power) ** node.right.value
     raise ValueError(f"unsupported {type(node).__name__} in expression")
 
 

@@ -3,8 +3,9 @@ scaled coupling, with trace powers kept as commuting symbols.
 
 The determinant-sector free energy is produced three independent ways: the
 closed product formula over partitions, the fixed-point equation iterated
-so that pass g fixes grade g (the route Lagrange inversion justifies), and
-the exact finite-N tables followed by a term-by-term limit.  The
+in integers so that pass g fixes grade g (the route Lagrange inversion
+justifies), and the exact finite-N tables expanded as power series in 1/N,
+whose log yields each limit as one series coefficient.  The
 strong-coupling series of the balanced sector comes from its own closed
 coefficient formula.  Agreement of the routes is the point, so none of them
 shares code with another.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactmath import N, RatFuncN
+from .exactmath import RatFuncN
 from .partitions import Partition, catalan, enumerate_partitions
 from .su_shifted import shifted_table
 
@@ -28,13 +29,13 @@ class TraceSeries:
     """Truncated formal series: terms[(grade, alpha)] is the coefficient of
     coupling^grade times the trace monomial for alpha.
 
-    Coefficients are exact rationals in the limit series and rational
-    functions of N in the finite-N intermediate; the algebra only needs
-    +, *, and truth-testing, so both work.
+    Coefficients are exact: ints in the fixed point's w series, Fractions
+    in the free energies.  The algebra only needs +, * and truth-testing.
     """
 
     max_order: int
-    terms: dict[tuple[int, Partition], object] = field(default_factory=dict)
+    terms: dict[tuple[int, Partition], int | Fraction] = field(
+        default_factory=dict)
 
     def __post_init__(self):
         cleaned = {key: c for key, c in self.terms.items() if c}
@@ -116,7 +117,8 @@ def fixedpoint_w_series(order: int) -> TraceSeries:
     In u = 1 + w the equation reads w = sum_{m>=1} f_m coupling^m u^m.
     Iterating from w = 0, pass g evaluates that sum by Horner in u,
     truncated at grade g.  Every f_m coupling^m has grade >= 1, so grade g
-    of w is final after pass g."""
+    of w is final after pass g.  Each f_m is an int, and so is every
+    coefficient of w."""
     if order < 1:
         raise ValueError("order must be positive")
     w = TraceSeries(0, {})
@@ -124,7 +126,7 @@ def fixedpoint_w_series(order: int) -> TraceSeries:
         u = TraceSeries(g, w.terms) + 1
         acc = TraceSeries(g, {})
         for m in range(g, 0, -1):
-            f_m = Fraction((-1) ** (m - 1) * catalan(m - 1))
+            f_m = (-1) ** (m - 1) * catalan(m - 1)
             acc = (acc + TraceSeries(g, {(m, EMPTY.add_part(m)): f_m})) * u
         w = acc
     return w
@@ -138,40 +140,80 @@ def shifted_free_energy_fixedpoint(order: int) -> TraceSeries:
                                for (g, a), c in w.terms.items()})
 
 
+def _series_in_inverse_n(value: RatFuncN,
+                         length: int) -> dict[int, Fraction] | None:
+    """The nonzero coefficients of x^0 .. x^(length-1), keyed by the power
+    in ascending order, in the expansion of value as a power series in
+    x = 1/N; None when value grows with N.
+
+    With numerator and denominator of degrees p <= q, value is x^(q-p)
+    times the quotient of the reversed coefficient lists, and the reversed
+    denominator starts with the leading coefficient, so long division
+    yields the quotient one term at a time."""
+    num, den = value.num.coeffs[::-1], value.den.coeffs[::-1]
+    shift = len(den) - len(num)
+    if shift < 0:
+        return None
+    quo: list[Fraction] = []
+    for k in range(length - shift):
+        c = num[k] if k < len(num) else 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            c -= den[i] * quo[k - i]
+        quo.append(Fraction(c, den[0]))
+    return {shift + k: c for k, c in enumerate(quo) if c}
+
+
 def shifted_free_energy_from_tables(order: int) -> TraceSeries:
     """Determinant-sector limit free energy from exact finite-N tables.
 
-    Assemble sum_n coupling^n/n! times the weight-n table, take the formal
-    log with rational-function coefficients, rescale the coupling by N and
-    divide by N (so the grade-n coefficient gains N^(n-1)), then take the
-    exact limit of every coefficient.  A divergent coefficient would refute
-    the whole scaling picture, so it raises rather than being clipped.
+    G = 1 + sum_n coupling^n/n! times the weight-n table, with every entry
+    expanded once as a power series in x = 1/N through x^(order-1).  The
+    log L = log G follows grade by grade from G L' = G': L_g = G_g -
+    sum_{0<j<g} (j/g) L_j G_{g-j}.  Rescaling the coupling by N and dividing
+    by N multiplies grade g by N^(g-1), so the limit of a grade-g
+    coefficient is its x^(g-1) term, and every term below it must vanish.
+    A divergent coefficient, or a table entry that grows with N, would
+    refute the whole scaling picture, so it raises rather than being
+    clipped.  Series are dicts of their nonzero terms, since entries decay
+    like powers of x and most low terms are zero.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    gen = TraceSeries(order, {(0, EMPTY): RatFuncN(1)})
-    for n in range(1, order + 1):
-        scale = Fraction(1, factorial(n))
-        table = shifted_table(n)
-        gen = gen + TraceSeries(order, {(n, a): v * scale
-                                        for a, v in table.entries.items()})
-    # log(1 + x) with x the positive-grade part
-    x = TraceSeries(order, {(g, a): c for (g, a), c in gen.terms.items()
-                            if g > 0})
-    log_series = TraceSeries(order, {})
-    power = TraceSeries(order, {(0, EMPTY): RatFuncN(1)})
-    for k in range(1, order + 1):
-        power = power * x
-        log_series = log_series + power * Fraction((-1) ** (k + 1), k)
+    # gen[g] and log[g]: the grade-g slices of G and L, alpha -> series
+    gen: list[dict[Partition, dict[int, Fraction]]] = [{}]
+    log: list[dict[Partition, dict[int, Fraction]]] = [{}]
     terms: dict[tuple[int, Partition], Fraction] = {}
-    for (g, a), coeff in log_series.terms.items():
-        rescaled = coeff * N ** (g - 1)
-        try:
-            terms[(g, a)] = rescaled.limit_at_infinity()
-        except ValueError as exc:
-            raise ValueError(
-                f"coefficient at grade {g}, partition [{a}] diverges "
-                f"as N grows: {coeff}") from exc
+    for g in range(1, order + 1):
+        scale = Fraction(1, factorial(g))
+        gen.append({})
+        for a, v in shifted_table(g).entries.items():
+            series = _series_in_inverse_n(v, order)
+            if series is None:
+                raise ValueError(f"table entry at grade {g}, partition [{a}] "
+                                 f"grows as N grows: {v}")
+            gen[g][a] = {k: c * scale for k, c in series.items()}
+        acc = {a: dict(s) for a, s in gen[g].items()}
+        for j in range(1, g):
+            weight = Fraction(j, g)
+            for a1, s1 in log[j].items():
+                s1 = {k: c * weight for k, c in s1.items()}
+                for a2, s2 in gen[g - j].items():
+                    out = acc.setdefault(a1.merge(a2), {})
+                    for k1, c1 in s1.items():
+                        for k2, c2 in s2.items():   # ascending in k2
+                            if k1 + k2 >= order:
+                                break
+                            out[k1 + k2] = out.get(k1 + k2, 0) - c1 * c2
+        log.append({a: {k: c for k, c in s.items() if c}
+                    for a, s in acc.items()})
+        for a, s in log[g].items():
+            low = [k for k in s if k < g - 1]
+            if low:
+                k = min(low)
+                raise ValueError(
+                    f"coefficient at grade {g}, partition [{a}] diverges "
+                    f"as N grows: its N^{g - 1 - k} term is {s[k]}")
+            terms[(g, a)] = s.get(g - 1, 0)
     return TraceSeries(order, terms)
 
 

@@ -1,6 +1,7 @@
 """Exact polynomial / rational-function arithmetic and the linear solver."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sunint.exactmath import (
+    MAX_EXPONENT,
     N,
     InconsistentSystemError,
     PolyN,
@@ -172,6 +174,39 @@ def test_parse_refuses_oversized_input_with_value_error():
     for text in ["+".join(["N"] * 3000), "(" * 300 + "N" + ")" * 300]:
         with pytest.raises(ValueError):
             parse_ratfunc(text)
+
+
+def test_parse_admits_exponent_at_the_bound():
+    assert parse_ratfunc(f"(N+1)^{MAX_EXPONENT}") == RatFuncN(
+        (N + 1) ** MAX_EXPONENT)
+    # nested exponents multiply: 16 * 16 is the bound
+    assert parse_ratfunc("((N+1)^16)^16") == RatFuncN((N + 1) ** 256)
+    assert MAX_EXPONENT == 256
+
+
+@pytest.mark.parametrize("text", [
+    f"(N+1)^{MAX_EXPONENT + 1}",
+    "(N+1)^4000",
+    "((N+1)^17)^16",
+    "(((10^256)^256)^256)^256",
+    "1 + 2*(N - (N+1)^100000)",
+])
+def test_parse_refuses_exponent_above_the_bound_before_multiplying(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent above 256"):
+        parse_ratfunc(text)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_small_powers_equal_repeated_multiplication():
+    for base in (N + 1, 2 * N - 3, N**2 + Fraction(1, 2) * N - 5,
+                 PolyN([7]), PolyN()):
+        product = PolyN([1])
+        for k in range(20):
+            assert base**k == product, (base, k)
+            product = product * base
+    assert RatFuncN(N + 1, N - 1) ** 3 == RatFuncN((N + 1) ** 3,
+                                                   (N - 1) ** 3)
 
 
 def test_parse_matches_constructed():

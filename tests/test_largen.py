@@ -5,6 +5,8 @@ from math import factorial
 
 import pytest
 
+from sunint import exactmath, largen
+from sunint.exactmath import N, RatFuncN
 from sunint.largen import (
     TraceSeries,
     fixedpoint_w_series,
@@ -15,6 +17,7 @@ from sunint.largen import (
     strong_coupling_series,
 )
 from sunint.partitions import Partition, catalan, enumerate_partitions
+from sunint.weingarten import CoeffTable
 
 
 def part(text):
@@ -71,6 +74,59 @@ def test_fixedpoint_equals_closed_through_order_12():
 
 def test_finite_tables_limit_equals_closed_through_order_4():
     assert shifted_free_energy_from_tables(4) == shifted_free_energy_closed(4)
+
+
+def test_finite_tables_limit_equals_closed_through_order_10():
+    assert (shifted_free_energy_from_tables(10)
+            == shifted_free_energy_closed(10))
+
+
+def test_finite_tables_route_runs_no_polynomial_gcd(monkeypatch):
+    for n in range(1, 7):
+        largen.shifted_table(n)     # the tables themselves reduce by gcds
+
+    def refuse(a, b):
+        raise AssertionError("polynomial gcd in the finite-N route")
+
+    monkeypatch.setattr(exactmath, "_primitive_gcd", refuse)
+    assert shifted_free_energy_from_tables(6) == shifted_free_energy_closed(6)
+
+
+def _patch_weight_2_entry(monkeypatch, change):
+    real = largen.shifted_table
+
+    def patched(n):
+        table = real(n)
+        if n != 2:
+            return table
+        entries = dict(table.entries)
+        entries[part("2^1")] = change(entries[part("2^1")])
+        return CoeffTable(n=2, family=table.family, entries=entries)
+
+    monkeypatch.setattr(largen, "shifted_table", patched)
+
+
+def test_finite_tables_route_refuses_an_entry_growing_with_n(monkeypatch):
+    # -1/N becomes -N^2, which no expansion in 1/N can hold
+    _patch_weight_2_entry(monkeypatch, lambda v: v * N**3)
+    with pytest.raises(ValueError,
+                       match=r"grade 2, partition \[2\^1\] grows"):
+        shifted_free_energy_from_tables(4)
+
+
+def test_finite_tables_route_refuses_a_divergent_coefficient(monkeypatch):
+    # -1/N becomes 1 - 1/N: still bounded, but the grade-2 log coefficient
+    # gains a constant term, which the rescaling by N turns into N/2
+    _patch_weight_2_entry(monkeypatch, lambda v: v + RatFuncN(1))
+    with pytest.raises(ValueError,
+                       match=r"grade 2, partition \[2\^1\] diverges .*"
+                             r"N\^1 term is 1/2"):
+        shifted_free_energy_from_tables(4)
+
+
+def test_fixedpoint_w_coefficients_are_ints():
+    w = fixedpoint_w_series(12)
+    assert w.terms and all(type(c) is int for c in w.terms.values())
 
 
 def test_lagrange_coefficient_identity():
