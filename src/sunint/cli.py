@@ -504,7 +504,7 @@ _SUITE_MC_TRACE_CASES = (
 )
 _SUITE_MC_PAIR_DIM = 2
 _SUITE_MC_PAIR_COLS = ([1, 2], [2, 1])
-# matrix entries the whole suite draws per --samples (71)
+# entries the suite draws per --samples at worst, with no kept columns (71)
 _SUITE_MC_ENTRIES = (len(_SUITE_MC_TRACE_CASES) * _SUITE_MC_TRACE_DIM ** 2
                      + len(_SUITE_MC_PAIR_COLS) * _SUITE_MC_PAIR_DIM ** 2)
 

@@ -473,11 +473,11 @@ _UNARY = {ast.UAdd: lambda value: value, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv}
 
-#: Largest power of any subexpression that ``parse_ratfunc`` computes: an
-#: exponent times the exponents of the powers around it.  Printed tables
-#: use at most N^35 (weight 12).  A power's time grows with the square of
-#: its result's size: on a 2-vCPU box (N+1)^256 takes 4 ms, a 40-character
-#: base to the 256th about 1 s, and (N+1)^2000 1.4 s.
+#: Largest exponent times the exponents around it, and largest degree before
+#: cancelling of any numerator or denominator, that ``parse_ratfunc``
+#: computes.  Printed tables use at most N^35 (weight 12).  On a 2-vCPU box
+#: (N+1)^256 takes 4 ms, a 40-character base to the 256th about 1 s,
+#: (N+1)^2000 1.4 s and a sum of fractions of degree 256 and 128 14 s.
 MAX_EXPONENT = 256
 
 
@@ -493,8 +493,8 @@ def parse_ratfunc(text: str) -> RatFuncN:
     binary + - * /, and ``**`` with an int literal exponent.  Nothing is
     compiled or executed.  Any other character or node, malformed text and
     input nested beyond Python's recursion limit raise ValueError, and so
-    does an exponent that, times the exponents of the powers around it,
-    exceeds ``MAX_EXPONENT``; a zero divisor raises ZeroDivisionError.
+    does an exponent or an intermediate degree above ``MAX_EXPONENT`` (see
+    there); a zero divisor raises ZeroDivisionError.
     This accepts everything ``str(RatFuncN)`` emits, plus factored input
     like ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
     """
@@ -522,8 +522,15 @@ def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
     if isinstance(node, ast.UnaryOp) and op in _UNARY:
         return _UNARY[op](_evaluate(node.operand, power))
     if isinstance(node, ast.BinOp) and op in _BINARY:
-        return _BINARY[op](_evaluate(node.left, power),
-                           _evaluate(node.right, power))
+        a, b = _evaluate(node.left, power), _evaluate(node.right, power)
+        (an, ad), (bn, bd) = ((v.num.degree, v.den.degree) for v in (a, b))
+        if op is ast.Div:
+            bn, bd = bd, bn
+        # a op b's degree before cancelling, times the powers around it
+        if power * max(an + bn if op in (ast.Mult, ast.Div)
+                       else max(an + bd, bn + ad), ad + bd) > MAX_EXPONENT:
+            raise ValueError(f"degree above {MAX_EXPONENT} in expression")
+        return _BINARY[op](a, b)
     if (isinstance(node, ast.BinOp) and op is ast.Pow
             and isinstance(node.right, ast.Constant)
             and type(node.right.value) is int):

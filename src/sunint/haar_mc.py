@@ -15,6 +15,12 @@ at most one worker per visible core, and their moments are merged in batch
 order, so every estimate is bit-identical for any worker count.  A worker
 takes its batch in chunks of about 2**17 entries, so peak memory stays
 small and does not depend on how the workers' batches overlap in time.
+
+``estimate_trace_moment`` keeps the per-sample (tr KU, tr J U-dagger)
+columns of its last call's batches of index below 2**19 / (2 * batch
+size), 8 MB, keyed by group, N, seed, samples and the bytes of J and K.
+A call with that key reads them instead of drawing those batches, so
+samples and estimates are unchanged.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 UNITARY = "unitary"
 SPECIAL_UNITARY = "special_unitary"
+
+_kept: tuple = (None, {})    # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -251,10 +259,11 @@ def _moments(values: np.ndarray) -> tuple[int, complex, float, float]:
 
 
 def _estimate(spec: GroupSpec, samples: int, seed: int,
-              values_of: Callable[[np.ndarray], np.ndarray]) -> MCEstimate:
-    """Mean of values_of over samples 0..samples-1, batch by batch.  More
-    than one batch runs on a pool of min(cores, batches) threads; the batch
-    moments are merged in batch order whatever thread made them."""
+              batch_values: Callable[[int, int], np.ndarray]) -> MCEstimate:
+    """Mean over samples 0..samples-1 of batch_values(index, count), the
+    values of batch index's first count samples.  More than one batch runs
+    on a pool of min(cores, batches) threads; the batch moments are merged
+    in batch order whatever thread made them."""
     size = _batch_size(spec.N)
     batches = -(-samples // size)
 
@@ -263,7 +272,7 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
         # errstate holds per thread, so it is set where the batch runs;
         # values beyond double range become inf or nan and merged refuses them
         with np.errstate(over="ignore", invalid="ignore"):
-            return _moments(_keyed_batch(spec, seed, index, count, values_of))
+            return _moments(batch_values(index, count))
 
     def merged(parts) -> MCEstimate:
         acc = _Accumulator()
@@ -347,13 +356,25 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
     if p < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
     check_sampling(samples, seed, MIN_TRACE_SAMPLES)
+    global _kept
+    key = (spec, seed, samples, src.J.tobytes(), src.K.tobytes())
+    kept_key, kept = _kept    # read once: other threads may replace it
+    if kept_key != key:
+        _kept = (key, (kept := {}))
 
-    def values_of(u: np.ndarray) -> np.ndarray:
-        tku = np.einsum("ij,bji->b", src.K, u)
-        tju = np.conj(np.einsum("ij,bij->b", np.conj(src.J), u))
-        return tku ** p * tju ** n
+    def columns(u: np.ndarray) -> np.ndarray:
+        return np.stack([np.einsum("ij,bji->b", src.K, u), np.conj(
+            np.einsum("ij,bij->b", np.conj(src.J), u))], axis=1)
 
-    return _estimate(spec, samples, seed, values_of)
+    def batch_values(index: int, count: int) -> np.ndarray:
+        traces = kept.get(index)
+        if traces is None:
+            traces = _keyed_batch(spec, seed, index, count, columns).T.copy()
+            if index < _BATCH_ENTRIES // (2 * _batch_size(spec.N)):
+                kept[index] = traces
+        return traces[0] ** p * traces[1] ** n
+
+    return _estimate(spec, samples, seed, batch_values)
 
 
 def estimate_monomial(i: Sequence[int], j: Sequence[int],
@@ -378,7 +399,8 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
             values = values * np.conj(u[:, b - 1, a - 1])
         return values
 
-    return _estimate(spec, samples, seed, values_of)
+    return _estimate(spec, samples, seed, lambda index, count: _keyed_batch(
+        spec, seed, index, count, values_of))
 
 
 def compare(est: MCEstimate, exact: complex, sigmas: float = 5.0) -> dict:

@@ -20,6 +20,8 @@ from sunint.exactmath import (
     poly_gcd,
     solve_linear_system,
 )
+from sunint.reference import (reference_families, reference_table,
+                              reference_weights)
 
 
 def test_poly_basics():
@@ -196,6 +198,41 @@ def test_parse_refuses_exponent_above_the_bound_before_multiplying(text):
     with pytest.raises(ValueError, match="exponent above 256"):
         parse_ratfunc(text)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_parse_refuses_products_of_bounded_powers_quickly(k):
+    # each power is at the bound, but their product's degree is not
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree above 256"):
+        parse_ratfunc("*".join(["(N+1)^256"] * k))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text", [
+    "(" + "*".join(["(N+1)"] * 256) + ")^2",
+    "(N*N + 1)^129",
+    "(N+1)^128/(N+2)^128 + (N+3)^128/(N+4)^128 + (N+5)^128/(N+7)^128",
+])
+def test_parse_refuses_intermediate_degree_above_the_bound(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree above 256"):
+        parse_ratfunc(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_admits_degree_at_the_bound():
+    assert parse_ratfunc("(N*N + 1)^128") == RatFuncN((N**2 + 1) ** 128)
+    assert parse_ratfunc("N^256 + N^255 - 1/2") == RatFuncN(
+        N**256 + N**255 - Fraction(1, 2))
+    assert parse_ratfunc("(N+1)^200/(N+1)^200") == RatFuncN(1)
+
+
+def test_parse_round_trips_every_packaged_reference_entry():
+    for family in reference_families():
+        for n in reference_weights(family):
+            for v in reference_table(family, n).values():
+                assert parse_ratfunc(str(v)) == v
 
 
 def test_small_powers_equal_repeated_multiplication():

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -32,6 +33,13 @@ from sunint.weingarten import monomial_integral
 SIGMAS = 5.0
 EXACT_MODULES = ("exactmath", "partitions", "weingarten", "su_shifted",
                  "largen", "reference")
+
+
+def _fresh(call):
+    """call() after the kept trace columns are cleared, so that it draws
+    every batch."""
+    haar_mc._kept = (None, {})
+    return call()
 
 
 def _imports(module: str) -> set[str]:
@@ -173,8 +181,8 @@ def test_trivial_moment_is_exact():
 def test_seed_determinism_and_stream_slicing():
     spec = GroupSpec(SPECIAL_UNITARY, 3)
     src = random_source_matrices(3, 2)
-    a = estimate_trace_moment(2, 2, src, spec, 12000, 7)
-    b = estimate_trace_moment(2, 2, src, spec, 12000, 7)
+    a = _fresh(lambda: estimate_trace_moment(2, 2, src, spec, 12000, 7))
+    b = _fresh(lambda: estimate_trace_moment(2, 2, src, spec, 12000, 7))
     assert a == b
     # sample s depends only on (seed, N, s): it is entry s % size of batch
     # s // size, whose stream is keyed by the seed and the batch index, and
@@ -237,12 +245,108 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
         for workers in (1, 2, 3):
             monkeypatch.setattr(haar_mc, "_CORES", workers)
             runs.append((
-                estimate_trace_moment(2, 1, src, spec, samples, 11),
+                _fresh(lambda: estimate_trace_moment(2, 1, src, spec,
+                                                     samples, 11)),
                 estimate_monomial([1, 2], [2, 1], [1], [2], spec, samples,
                                   12)))
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1] == runs[2]
+
+
+def _kept_values() -> int:
+    return sum(traces.size for traces in haar_mc._kept[1].values())
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_kept_columns_give_the_fresh_estimate(monkeypatch, group, dim):
+    spec = GroupSpec(group, dim)
+    src = random_source_matrices(dim, 5)
+    samples = 2 * _batch_size(dim) + 17
+    _fresh(lambda: estimate_trace_moment(1, 1, src, spec, samples, 3))
+    with monkeypatch.context() as patch:    # every batch is kept: none drawn
+        patch.setattr(haar_mc, "_keyed_batch", None)
+        kept = [estimate_trace_moment(p, n, src, spec, samples, 3)
+                for p, n in ((2, 1), (0, 3), (2, 2))]
+    assert kept == [
+        _fresh(lambda: estimate_trace_moment(p, n, src, spec, samples, 3))
+        for p, n in ((2, 1), (0, 3), (2, 2))]
+
+
+def test_kept_columns_are_bounded():
+    spec = GroupSpec(SPECIAL_UNITARY, 3)
+    src = random_source_matrices(3, 6)
+    limit = haar_mc._BATCH_ENTRIES // (2 * _batch_size(3))
+    assert limit == 32
+    samples = (limit + 2) * _batch_size(3) + 5    # 35 batches
+    _fresh(lambda: estimate_trace_moment(1, 1, src, spec, samples, 8))
+    assert sorted(haar_mc._kept[1]) == list(range(limit))
+    kept = estimate_trace_moment(2, 1, src, spec, samples, 8)
+    assert _kept_values() == haar_mc._BATCH_ENTRIES == 2 ** 19
+    assert kept == _fresh(
+        lambda: estimate_trace_moment(2, 1, src, spec, samples, 8))
+
+
+def test_kept_columns_follow_every_input():
+    spec = GroupSpec(SPECIAL_UNITARY, 3)
+    src = random_source_matrices(3, 9)
+
+    def fill_then(call):
+        _fresh(lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4))
+        return call()
+
+    base = _fresh(lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4))
+    variants = [
+        lambda: estimate_trace_moment(1, 1, src, spec, 9000, 5),
+        lambda: estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 3),
+                                      9000, 4),
+        lambda: estimate_trace_moment(1, 1, random_source_matrices(2, 9),
+                                      GroupSpec(SPECIAL_UNITARY, 2), 9000, 4),
+        lambda: estimate_trace_moment(1, 1, src, spec, 9001, 4),
+    ]
+    for call in variants:
+        assert fill_then(call) == _fresh(call) != base
+    _fresh(lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4))
+    src.K[0, 0] += 1    # the matrices are mutable: the key holds their bytes
+    changed = estimate_trace_moment(1, 1, src, spec, 9000, 4)
+    assert changed == _fresh(
+        lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4)) != base
+
+
+def test_kept_columns_under_concurrent_callers():
+    spec = GroupSpec(SPECIAL_UNITARY, 3)
+    sources = [random_source_matrices(3, s) for s in (10, 11)]
+    samples = 2 * _batch_size(3) + 3
+    moments = [(1, 1), (2, 1), (2, 2), (0, 1)]
+    expected = [[_fresh(lambda: estimate_trace_moment(
+        p, n, src, spec, samples, seed)) for p, n in moments]
+        for src, seed in zip(sources, (1, 2))]
+    keys = [0, 1, 0, 1]    # four threads, more than the cores of a 2-vCPU box
+    results: list = [None] * len(keys)
+
+    def worker(slot):
+        src, seed = sources[keys[slot]], keys[slot] + 1
+        results[slot] = [estimate_trace_moment(p, n, src, spec, samples, seed)
+                         for p, n in moments]
+
+    # each thread's calls replace the other key while that key's calls still
+    # read their own columns
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            haar_mc._kept = (None, {})
+            threads = [threading.Thread(target=worker, args=(slot,))
+                       for slot in range(len(keys))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert results == [expected[key] for key in keys]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pool_results_come_in_order_with_bounded_lookahead():
