@@ -517,6 +517,46 @@ def test_sample_and_seed_refusals_come_before_any_work(capsys, argv,
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("coeffs", "--family", "weingarten", "--n", "2", "--method", "shift"),
+     "method 'shift' does not apply to family 'weingarten'"),
+    (("coeffs", "--family", "su-shifted", "--n", "9", "--method",
+      "character"),
+     "method 'character' does not apply to family 'su-shifted'"),
+    (("coeffs", "--family", "weingarten", "--n", "0"), "--n must be in 1..8"),
+    (("coeffs", "--family", "su-shifted", "--n", "9"), "--n must be in 1..8"),
+    (("largen", "wd", "--order", "0"), "--order must be >= 1"),
+    (("largen", "ww", "--order", "0", "--method", "fixedpoint"),
+     "--order must be >= 1"),
+    (("largen", "ww", "--order", "2", "--method", "finite-n"),
+     "target 'ww' supports only --method closed"),
+    (("largen", "ww", "--order", "2", "--compare"),
+     "--compare applies to target 'wd' only"),
+    (("largen", "ww", "--order", "39", "--compare"),
+     "--compare applies to target 'wd' only"),
+    (("largen", "wd", "--order", "17", "--method", "fixedpoint"),
+     "--method fixedpoint supports --order <= 16"),
+    (("largen", "wd", "--order", "17", "--compare"),
+     "--compare runs --method fixedpoint, which supports --order <= 16"),
+    (("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200",
+      "--matrices", "{matrices}"), "matrices file has N=2, not 3"),
+    (("tensor", "--N", "2", "--u", "1-1"),
+     "index lists look like '1:2,3:1'"),
+    (("tensor", "--N", "0", "--udagger", "1:x"),
+     "index lists look like '1:2,3:1'"),
+], ids=["coeffs-method", "coeffs-method-before-n", "coeffs-n0", "coeffs-n9",
+        "largen-order0", "largen-order-first", "largen-ww-method",
+        "largen-ww-compare", "largen-ww-compare-before-cap",
+        "largen-cap", "largen-compare-cap", "mc-matrices-N",
+        "tensor-syntax", "tensor-syntax-before-N"])
+def test_refusal_table(capsys, tmp_path, argv, line):
+    # each refusal is exactly one stderr line, in the order the checks run
+    path = tmp_path / "src.json"
+    path.write_text(json.dumps({"N": 2, "J": EYE2, "K": EYE2}))
+    argv = [arg.format(matrices=path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % line)
+
+
 @pytest.mark.parametrize("p", ["1000", "5000"])
 def test_mc_overflowing_moment_exits_2(capsys, p):
     # |tr KU|^p leaves double range: at p = 1000 the batch moments are
