@@ -8,9 +8,14 @@ Subcommands:
   tensor   exact value of a single tensor-level integral
   verify   run consistency suites and exit nonzero on failure
 
-Results go to stdout as JSON (or latex/csv where supported); progress
-and diagnostics go to stderr.  Exit codes: 0 success, 1 a verification
-comparison failed, 2 usage error.
+Results go to stdout, or to the ``--output`` file, as JSON (or latex/csv
+where supported); progress and diagnostics go to stderr.  Exit codes: 0
+success, 1 a verification comparison failed, 2 refused input.
+
+Each ``_cmd_*`` handler returns its text and its 0/1 status, and refuses
+input by raising ValueError; ``main`` alone writes the text, and turns a
+ValueError or OSError into one ``error:`` line on stderr and exit 2, with
+nothing on stdout.
 
 The numeric layer (``haar_mc``, and with it numpy) is imported only by the
 commands that sample: ``mc``, ``tensor --mc-samples`` and ``verify
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -70,14 +76,6 @@ _TABLE_BUILDERS = {
 _DEFAULT_METHOD = {WEINGARTEN: "character", SU_SHIFTED: "shift"}
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -122,19 +120,15 @@ def _render_table(table: CoeffTable, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> tuple[str, int]:
     method = args.method or _DEFAULT_METHOD[args.family]
     builder = _TABLE_BUILDERS.get((args.family, method))
     if builder is None:
-        print("error: method %r does not apply to family %r"
-              % (method, args.family), file=sys.stderr)
-        return 2
+        raise ValueError("method %r does not apply to family %r"
+                         % (method, args.family))
     if not 1 <= args.n <= MAX_WEIGHT:
-        print("error: --n must be in 1..%d" % MAX_WEIGHT, file=sys.stderr)
-        return 2
-    table = builder(args.n)
-    _emit(_render_table(table, args.format), args.output)
-    return 0
+        raise ValueError("--n must be in 1..%d" % MAX_WEIGHT)
+    return _render_table(builder(args.n), args.format), 0
 
 
 # ---------------------------------------------------------------- largen
@@ -190,27 +184,20 @@ _SERIES = {
 _ORDER_CAPS = {"closed": 38, "fixedpoint": 16, "finite-n": 4}
 
 
-def _cmd_largen(args: argparse.Namespace) -> int:
+def _cmd_largen(args: argparse.Namespace) -> tuple[str, int]:
     if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--order must be >= 1")
     method = args.method or "closed"
     if (args.target, method) not in _SERIES:
-        print("error: target 'ww' supports only --method closed",
-              file=sys.stderr)
-        return 2
+        raise ValueError("target 'ww' supports only --method closed")
     if args.compare and args.target == "ww":
-        print("error: --compare applies to target 'wd' only",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--compare applies to target 'wd' only")
     if args.order > _ORDER_CAPS[method]:
-        print("error: --method %s supports --order <= %d"
-              % (method, _ORDER_CAPS[method]), file=sys.stderr)
-        return 2
+        raise ValueError("--method %s supports --order <= %d"
+                         % (method, _ORDER_CAPS[method]))
     if args.compare and args.order > _ORDER_CAPS["fixedpoint"]:
-        print("error: --compare runs --method fixedpoint, which supports "
-              "--order <= %d" % _ORDER_CAPS["fixedpoint"], file=sys.stderr)
-        return 2
+        raise ValueError("--compare runs --method fixedpoint, which supports "
+                         "--order <= %d" % _ORDER_CAPS["fixedpoint"])
     series = _SERIES[(args.target, method)](args.order)
     payload = _series_payload(series, args.target, method)
     status = 0
@@ -236,8 +223,7 @@ def _cmd_largen(args: argparse.Namespace) -> int:
             status = 1
     text = (_series_latex(series, args.target) if args.format == "latex"
             else _json_text(payload))
-    _emit(text, args.output)
-    return status
+    return text, status
 
 
 # ------------------------------------------------------------------- mc
@@ -300,50 +286,39 @@ _MAX_SAMPLED_ENTRIES = 2 ** 27
 _MAX_SAMPLED_N = 128
 
 
-def _sampling_ok(option: str, samples: int, dim: int) -> bool:
+def _check_sampled_size(option: str, samples: int, dim: int) -> None:
     if dim > _MAX_SAMPLED_N:
-        print("error: sampling supports --N <= %d" % _MAX_SAMPLED_N,
-              file=sys.stderr)
-        return False
-    return _entries_ok(option, samples, "N^2", dim ** 2, "at N = %d" % dim)
+        raise ValueError("sampling supports --N <= %d" % _MAX_SAMPLED_N)
+    _check_entries(option, samples, "N^2", dim ** 2, "at N = %d" % dim)
 
 
-def _entries_ok(option: str, samples: int, factor: str, per_sample: int,
-                where: str) -> bool:
-    if samples * per_sample <= _MAX_SAMPLED_ENTRIES:
-        return True
-    print("error: %s times %s must be <= %d (%s <= %d %s)"
-          % (option, factor, _MAX_SAMPLED_ENTRIES, option,
-             _MAX_SAMPLED_ENTRIES // per_sample, where), file=sys.stderr)
-    return False
+def _check_entries(option: str, samples: int, factor: str, per_sample: int,
+                   where: str) -> None:
+    if samples * per_sample > _MAX_SAMPLED_ENTRIES:
+        raise ValueError("%s times %s must be <= %d (%s <= %d %s)"
+                         % (option, factor, _MAX_SAMPLED_ENTRIES, option,
+                            _MAX_SAMPLED_ENTRIES // per_sample, where))
 
 
-def _sigmas_ok(sigmas: float) -> bool:
-    if math.isfinite(sigmas) and sigmas > 0:
-        return True
-    print("error: --sigmas must be finite and > 0", file=sys.stderr)
-    return False
+def _check_sigmas(sigmas: float) -> None:
+    if not (math.isfinite(sigmas) and sigmas > 0):
+        raise ValueError("--sigmas must be finite and > 0")
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
-    if not _sigmas_ok(args.sigmas):
-        return 2
+def _cmd_mc(args: argparse.Namespace) -> tuple[str, int]:
+    _check_sigmas(args.sigmas)
     if args.p < 0 or args.n < 0:
-        print("error: --p and --n must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--p and --n must be >= 0")
     if args.N < 1:
-        print("error: --N must be >= 1", file=sys.stderr)
-        return 2
-    if not _sampling_ok("--samples", args.samples, args.N):
-        return 2
+        raise ValueError("--N must be >= 1")
+    _check_sampled_size("--samples", args.samples, args.N)
     from . import haar_mc
     haar_mc.check_sampling(args.samples, args.seed, haar_mc.MIN_TRACE_SAMPLES)
     if args.matrices:
         src = haar_mc.SourceMatrices.from_json_file(args.matrices)
         if src.dim != args.N:
-            print("error: matrices file has N=%d, not %d"
-                  % (src.dim, args.N), file=sys.stderr)
-            return 2
+            raise ValueError("matrices file has N=%d, not %d"
+                             % (src.dim, args.N))
     else:
         src = haar_mc.random_source_matrices(args.N, args.seed)
     spec = _group_spec(args.group, args.N)
@@ -360,8 +335,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                "estimate": est.as_json_dict(),
                "exact": None if report is None else report["exact"],
                "comparison": report}
-    _emit(_json_text(payload), args.output)
-    return 0 if report is None or report["pass"] else 1
+    return _json_text(payload), 0 if report is None or report["pass"] else 1
 
 
 # --------------------------------------------------------------- tensor
@@ -393,31 +367,26 @@ def _exact_monomial(i: list[int], j: list[int], k: list[int], l: list[int],
     return None, "outside-range" if sector == "shifted" else sector
 
 
-def _cmd_tensor(args: argparse.Namespace) -> int:
+def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:
     try:
         i, j = _parse_index_pairs(args.u)
         k, l = _parse_index_pairs(args.udagger)
     except ValueError:
-        print("error: index lists look like '1:2,3:1'", file=sys.stderr)
-        return 2
+        raise ValueError("index lists look like '1:2,3:1'") from None
     dim = args.N
     if dim < 1:
-        print("error: --N must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--N must be >= 1")
     # only the U-dagger count feeds the (n!)^2 pair sum; more U factors are
     # cheap (epsilon is O(N log N)), and N <= 128 keeps 1/N! printable
     u_cap = max(MAX_TENSOR_WEIGHT, min(dim, _MAX_SAMPLED_N))
     if len(k) > MAX_TENSOR_WEIGHT or len(i) > u_cap:
-        print("error: at most %d U-dagger factors and %d U factors at N = %d"
-              % (MAX_TENSOR_WEIGHT, u_cap, dim), file=sys.stderr)
-        return 2
+        raise ValueError("at most %d U-dagger factors and %d U factors at "
+                         "N = %d" % (MAX_TENSOR_WEIGHT, u_cap, dim))
     if any(not 1 <= x <= dim for x in i + j + k + l):
-        print("error: indices must be in 1..%d" % dim, file=sys.stderr)
-        return 2
+        raise ValueError("indices must be in 1..%d" % dim)
     if args.mc_samples:
-        if not (_sigmas_ok(args.sigmas) and _sampling_ok(
-                "--mc-samples", args.mc_samples, dim)):
-            return 2
+        _check_sigmas(args.sigmas)
+        _check_sampled_size("--mc-samples", args.mc_samples, dim)
         from . import haar_mc
         haar_mc.check_sampling(args.mc_samples, args.seed,
                                haar_mc.MIN_MONOMIAL_SAMPLES)
@@ -437,8 +406,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
             report = haar_mc.compare(est, complex(exact), sigmas=args.sigmas)
             payload["comparison"] = report
             status = 0 if report["pass"] else 1
-    _emit(_json_text(payload), args.output)
-    return status
+    return _json_text(payload), status
 
 
 # --------------------------------------------------------------- verify
@@ -537,18 +505,14 @@ def _suite_mc(samples: int, seed: int) -> list[dict]:
     return checks
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "tables": lambda: _suite_tables(),
-        "shift": lambda: _suite_shift(),
-        "largen": lambda: _suite_largen(),
-        "mc": lambda: _suite_mc(args.samples, args.seed),
-    }
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    suites = {"tables": _suite_tables, "shift": _suite_shift,
+              "largen": _suite_largen,
+              "mc": functools.partial(_suite_mc, args.samples, args.seed)}
     names = list(suites) if args.suite == "all" else [args.suite]
     if "mc" in names:
-        if not _entries_ok("--samples", args.samples, str(_SUITE_MC_ENTRIES),
-                           _SUITE_MC_ENTRIES, "for the mc suite"):
-            return 2
+        _check_entries("--samples", args.samples, str(_SUITE_MC_ENTRIES),
+                       _SUITE_MC_ENTRIES, "for the mc suite")
         from . import haar_mc
         haar_mc.check_sampling(args.samples, args.seed,
                                haar_mc.MIN_TRACE_SAMPLES)
@@ -559,8 +523,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = all(c["pass"] for c in checks)
         payload["suites"][name] = {"pass": ok, "checks": checks}
         payload["pass"] = payload["pass"] and ok
-    _emit(_json_text(payload), args.output)
-    return 0 if payload["pass"] else 1
+    return _json_text(payload), 0 if payload["pass"] else 1
 
 
 # --------------------------------------------------------------- parser
@@ -652,10 +615,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text, status = args.handler(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

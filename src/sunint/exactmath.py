@@ -479,6 +479,14 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
 #: (N+1)^256 takes 4 ms, a 40-character base to the 256th about 1 s,
 #: (N+1)^2000 1.4 s and a sum of fractions of degree 256 and 128 14 s.
 MAX_EXPONENT = 256
+# Largest coefficient size, in bits of the sum of the absolute coefficients
+# of a numerator or denominator, times the exponents around it, that
+# parse_ratfunc computes.  The degree bound alone admits sums of degree-128
+# fractions whose time grows with their literals, in the gcds: 2.0 s on a
+# 2-vCPU box with 20-digit literals, 5.8 s with 40.  Under this bound the
+# slowest such sum of linear factors tried takes 0.3 s; the printed tables
+# need under 100 bits.
+_MAX_COEFF_BITS = 1024
 
 
 def parse_ratfunc(text: str) -> RatFuncN:
@@ -494,7 +502,8 @@ def parse_ratfunc(text: str) -> RatFuncN:
     compiled or executed.  Any other character or node, malformed text and
     input nested beyond Python's recursion limit raise ValueError, and so
     does an exponent or an intermediate degree above ``MAX_EXPONENT`` (see
-    there); a zero divisor raises ZeroDivisionError.
+    there) or an intermediate coefficient size above a like bound; a zero
+    divisor raises ZeroDivisionError.
     This accepts everything ``str(RatFuncN)`` emits, plus factored input
     like ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
     """
@@ -516,6 +525,7 @@ def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
     to power (zero exponents count as one)."""
     op = type(getattr(node, "op", None))
     if isinstance(node, ast.Constant) and type(node.value) is int:
+        _check_bits(node.value.bit_length(), power)
         return RatFuncN(node.value)
     if isinstance(node, ast.Name) and node.id == "N":
         return RatFuncN(N)
@@ -530,6 +540,9 @@ def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
         if power * max(an + bn if op in (ast.Mult, ast.Div)
                        else max(an + bd, bn + ad), ad + bd) > MAX_EXPONENT:
             raise ValueError(f"degree above {MAX_EXPONENT} in expression")
+        # likewise its coefficient bits: they add under * and /, and + and -
+        # cross-multiply and add one carry bit
+        _check_bits(_bits(a) + _bits(b) + (op in (ast.Add, ast.Sub)), power)
         return _BINARY[op](a, b)
     if (isinstance(node, ast.BinOp) and op is ast.Pow
             and isinstance(node.right, ast.Constant)
@@ -539,6 +552,20 @@ def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
             raise ValueError(f"exponent above {MAX_EXPONENT} in expression")
         return _evaluate(node.left, power) ** node.right.value
     raise ValueError(f"unsupported {type(node).__name__} in expression")
+
+
+def _bits(value: RatFuncN) -> int:
+    """Bits of the sum of the absolute coefficients of value's numerator or
+    denominator, whichever is larger; the sum bounds each coefficient and is
+    submultiplicative."""
+    return max(sum(map(abs, p.coeffs)).bit_length()
+               for p in (value.num, value.den))
+
+
+def _check_bits(bits: int, power: int) -> None:
+    if power * bits > _MAX_COEFF_BITS:
+        raise ValueError(
+            f"coefficients above {_MAX_COEFF_BITS} bits in expression")
 
 
 # -- linear solving ----------------------------------------------------------

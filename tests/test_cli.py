@@ -701,8 +701,15 @@ def test_exact_commands_run_with_numpy_blocked():
         ["verify", "--suite", "shift"],
         ["verify", "--suite", "largen"],
     ]
-    facts = _fresh_python(_BLOCKED_NUMPY_MAIN, json.dumps(calls))
-    assert facts == {"codes": [0] * len(calls), "numpy": []}
+    # refusals take the same raise path through main, which loads no numpy
+    refusals = [
+        ["coeffs", "--family", "weingarten", "--n", "9"],
+        ["largen", "ww", "--order", "39"],
+        ["tensor", "--N", "3", "--u", "5:5", "--group", "unitary"],
+    ]
+    facts = _fresh_python(_BLOCKED_NUMPY_MAIN, json.dumps(calls + refusals))
+    assert facts == {"codes": [0] * len(calls) + [2] * len(refusals),
+                     "numpy": []}
 
 
 _LAZY_PACKAGE = """

@@ -221,6 +221,27 @@ def test_parse_refuses_intermediate_degree_above_the_bound(text):
     assert time.perf_counter() - start < 1.0
 
 
+def _fraction_sum(a, b, c, d):
+    return f"((N+{a})^128/(N+{b})^128)+((N+{c})^128/(N+{d})^128)"
+
+
+@pytest.mark.parametrize("text", [
+    _fraction_sum("12345678901234567890", "98765432109876543210",
+                  "3333333333333", "4444444444"),
+    *(_fraction_sum(*(str(k) * digits for k in range(1, 5)))
+      for digits in (20, 40, 80)),
+    "*".join(["(N+" + "9" * 80 + ")"] * 64),
+    "12345678901234567890^128",
+], ids=["mixed-digits", "digits-20", "digits-40", "digits-80",
+        "long-literal-product", "literal-power"])
+def test_parse_refuses_large_coefficients_quickly(text):
+    # within the degree bound, but the coefficients grow with the literals
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="coefficients above 1024 bits"):
+        parse_ratfunc(text)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_parse_admits_degree_at_the_bound():
     assert parse_ratfunc("(N*N + 1)^128") == RatFuncN((N**2 + 1) ** 128)
     assert parse_ratfunc("N^256 + N^255 - 1/2") == RatFuncN(
