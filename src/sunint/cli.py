@@ -174,14 +174,15 @@ _SERIES = {
 }
 
 # Largest --order per route, so every call ends in bounded time.  On a
-# 2-vCPU box closed and ww take 9 s at order 38 (11 s at 39), the fixed
-# point, whose cost grows about 1.9x per order, 1.0-1.2 s at order 16, and
-# the finite-N route, tables included, 0.06 s at order 8 and 0.7-1.1 s at
-# order 12.  The fixed-point and finite-N caps stay at 16 and 4 on purpose:
-# a higher cap changes which calls exit 2, a change of CLI behaviour of its
-# own, and a finite-N cap of 8 or more also changes the output of
+# 2-vCPU box closed and ww take 8-10 s at order 38 (11 s at 39).  The fixed
+# point computes one new grade per pass and grows about 1.4x per order:
+# `largen wd --order 27 --compare` took 7.9-8.6 s against 9.8-10.5 s for
+# `largen wd --order 38` when the two alternated, and order 28 took 11.0 s,
+# so its cap, which --compare shares, is 27.  The finite-N route, tables
+# included, takes 0.06 s at order 8 and 0.7-1.1 s at order 12; its cap stays
+# at 4 on purpose, because a cap of 8 or more changes the output of
 # `largen wd --order 8 --compare`.
-_ORDER_CAPS = {"closed": 38, "fixedpoint": 16, "finite-n": 4}
+_ORDER_CAPS = {"closed": 38, "fixedpoint": 27, "finite-n": 4}
 
 
 def _cmd_largen(args: argparse.Namespace) -> tuple[str, int]:

@@ -3,9 +3,10 @@ scaled coupling, with trace powers kept as commuting symbols.
 
 The determinant-sector free energy is produced three independent ways: the
 closed product formula over partitions, the fixed-point equation iterated
-in integers so that pass g fixes grade g (the route Lagrange inversion
-justifies), and the exact finite-N tables expanded as power series in 1/N,
-whose log yields each limit as one series coefficient.  The
+in integers so that pass g computes only grade g, from per-grade slices of
+the powers of 1 + w (the route Lagrange inversion justifies), and the
+exact finite-N tables expanded as power series in 1/N, whose log yields
+each limit as one series coefficient.  The
 strong-coupling series of the balanced sector comes from its own closed
 coefficient formula.  Agreement of the routes is the point, so none of them
 shares code with another.
@@ -115,21 +116,39 @@ def fixedpoint_w_series(order: int) -> TraceSeries:
     times the trace symbol of power m (grades 1..order).
 
     In u = 1 + w the equation reads w = sum_{m>=1} f_m coupling^m u^m.
-    Iterating from w = 0, pass g evaluates that sum by Horner in u,
-    truncated at grade g.  Every f_m coupling^m has grade >= 1, so grade g
-    of w is final after pass g.  Each f_m is an int, and so is every
+    Every f_m coupling^m has grade >= 1, so grade g of w needs only grades
+    below g of each u^m: pass g sets w_g = sum_{m=1..g} f_m times grade g-m
+    of u^m, then extends each power u^m with m <= order - g by its grade-g
+    slice, sum_{j=0..g} (grade g-j of u^(m-1)) w_j with w_0 = 1, in
+    ascending m, so that grade g of u^(m-1) is ready.  Grades are dicts
+    from partition to coefficient; each f_m is an int, and so is every
     coefficient of w."""
     if order < 1:
         raise ValueError("order must be positive")
-    w = TraceSeries(0, {})
+    one = {EMPTY: 1}
+    w = [one]
+    # powers[m][k]: grade k of u^m; u^0 = 1 has no grade above 0
+    powers = [[one] + [{}] * order] + [[one] for _ in range(order)]
     for g in range(1, order + 1):
-        u = TraceSeries(g, w.terms) + 1
-        acc = TraceSeries(g, {})
-        for m in range(g, 0, -1):
+        w_g: dict[Partition, int] = {}
+        for m in range(1, g + 1):
             f_m = (-1) ** (m - 1) * catalan(m - 1)
-            acc = (acc + TraceSeries(g, {(m, EMPTY.add_part(m)): f_m})) * u
-        w = acc
-    return w
+            trace = EMPTY.add_part(m)
+            for a, c in powers[m][g - m].items():
+                key = a.merge(trace)
+                w_g[key] = w_g.get(key, 0) + f_m * c
+        w.append(w_g)
+        for m in range(1, order - g + 1):
+            lower = powers[m - 1]
+            grade: dict[Partition, int] = {}
+            for j in range(g + 1):
+                for a1, c1 in lower[g - j].items():
+                    for a2, c2 in w[j].items():
+                        key = a1.merge(a2)
+                        grade[key] = grade.get(key, 0) + c1 * c2
+            powers[m].append(grade)
+    return TraceSeries(order, {(g, a): c for g in range(1, order + 1)
+                               for a, c in w[g].items()})
 
 
 def shifted_free_energy_fixedpoint(order: int) -> TraceSeries:

@@ -109,7 +109,10 @@ class Partition:
         a, b = self.multiplicities, other.multiplicities
         if len(a) < len(b):
             a, b = b, a
-        return Partition(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        # the sum of two trimmed, nonnegative tuples is one: skip __init__
+        out = object.__new__(Partition)
+        out.multiplicities = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+        return out
 
     # -- protocol -------------------------------------------------------------
 

@@ -131,9 +131,9 @@ def test_largen_finite_n_order_cap(capsys):
 def test_largen_order_caps(capsys):
     # every route ends in bounded time: past its cap the CLI exits 2
     for argv, cap in ((("wd",), 38), (("ww",), 38),
-                      (("wd", "--method", "fixedpoint"), 16),
-                      (("wd", "--compare"), 16),
-                      (("wd", "--method", "closed", "--compare"), 16)):
+                      (("wd", "--method", "fixedpoint"), 27),
+                      (("wd", "--compare"), 27),
+                      (("wd", "--method", "closed", "--compare"), 27)):
         code, out, err = run(capsys, "largen", *argv, "--order",
                              str(cap + 1))
         assert code == 2, argv
@@ -534,10 +534,10 @@ def test_sample_and_seed_refusals_come_before_any_work(capsys, argv,
      "--compare applies to target 'wd' only"),
     (("largen", "ww", "--order", "39", "--compare"),
      "--compare applies to target 'wd' only"),
-    (("largen", "wd", "--order", "17", "--method", "fixedpoint"),
-     "--method fixedpoint supports --order <= 16"),
-    (("largen", "wd", "--order", "17", "--compare"),
-     "--compare runs --method fixedpoint, which supports --order <= 16"),
+    (("largen", "wd", "--order", "28", "--method", "fixedpoint"),
+     "--method fixedpoint supports --order <= 27"),
+    (("largen", "wd", "--order", "28", "--compare"),
+     "--compare runs --method fixedpoint, which supports --order <= 27"),
     (("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200",
       "--matrices", "{matrices}"), "matrices file has N=2, not 3"),
     (("tensor", "--N", "2", "--u", "1-1"),

@@ -72,6 +72,28 @@ def test_fixedpoint_equals_closed_through_order_12():
             == shifted_free_energy_closed(12))
 
 
+def test_fixedpoint_equals_closed_through_order_16():
+    assert (shifted_free_energy_fixedpoint(16)
+            == shifted_free_energy_closed(16))
+
+
+def test_fixedpoint_computes_one_new_grade_per_pass(monkeypatch):
+    # a deterministic count: pass g multiplies only grade-g slices, which
+    # takes 3714 merges at order 12; rerunning the whole series every pass
+    # took 14567
+    merges = 0
+    real = Partition.merge
+
+    def counted(self, other):
+        nonlocal merges
+        merges += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Partition, "merge", counted)
+    fixedpoint_w_series(12)
+    assert 0 < merges <= 4000
+
+
 def test_finite_tables_limit_equals_closed_through_order_4():
     assert shifted_free_energy_from_tables(4) == shifted_free_energy_closed(4)
 
