@@ -41,7 +41,7 @@ from .largen import (
     shifted_free_energy_from_tables,
     strong_coupling_series,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 from .reference import reference_table, reference_weights
 from .su_shifted import (
     check_shift_identity,
@@ -109,13 +109,13 @@ def _render_table(table: CoeffTable, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["partition", "value"])
-        for alpha in enumerate_partitions(table.n):
-            writer.writerow([alpha.to_string(), str(table[alpha])])
+        for alpha, value in table.entries.items():
+            writer.writerow([alpha.to_string(), str(value)])
         return buf.getvalue()
     lines = [r"\begin{array}{ll}"]
-    for alpha in enumerate_partitions(table.n):
+    for alpha, value in table.entries.items():
         lines.append(r"%s & %s \\" % (_partition_label(alpha),
-                                      _ratfunc_latex(table[alpha])))
+                                      _ratfunc_latex(value)))
     lines.append(r"\end{array}")
     return "\n".join(lines) + "\n"
 

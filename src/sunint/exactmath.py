@@ -385,10 +385,6 @@ class RatFuncN:
         return _as_ratfunc(other) / self
 
     def __pow__(self, k: int) -> RatFuncN:
-        if k < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("division by zero rational function")
-            return RatFuncN._coprime(self.den ** (-k), self.num ** (-k))
         return RatFuncN._coprime(self.num ** k, self.den ** k)
 
     def evaluate(self, x: Scalar) -> Fraction:
@@ -403,17 +399,6 @@ class RatFuncN:
         automorphism of Z[N], so the result is canonical as it stands."""
         return RatFuncN._coprime(self.num.shifted(delta),
                                  self.den.shifted(delta))
-
-    def limit_at_infinity(self) -> Fraction:
-        """Limit as N -> infinity; raises ValueError when divergent."""
-        if self.is_zero:
-            return Fraction(0)
-        gap = self.degree_gap()
-        if gap > 0:
-            return Fraction(0)
-        if gap == 0:
-            return Fraction(self.num.leading, self.den.leading)
-        raise ValueError(f"diverges at large N: ({self})")
 
     def __str__(self) -> str:
         num_s = format_poly(self.num)

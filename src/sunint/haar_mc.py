@@ -132,7 +132,9 @@ class SourceMatrices:
                 dim, dim)
 
         try:
-            dim = int(payload["N"])
+            dim = payload["N"]
+            if type(dim) is not int or dim < 1:
+                raise ValueError("source matrices need N as an integer >= 1")
             return cls(decode(payload["J"]), decode(payload["K"]))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError("source matrices must be an object with N, J "

@@ -6,15 +6,15 @@ closed product formula over partitions, the fixed-point equation iterated
 in integers so that pass g computes only grade g, from per-grade slices of
 the powers of 1 + w (the route Lagrange inversion justifies), and the
 exact finite-N tables expanded as power series in 1/N, whose log yields
-each limit as one series coefficient.  The
-strong-coupling series of the balanced sector comes from its own closed
-coefficient formula.  Agreement of the routes is the point, so none of them
-shares code with another.
+each limit as one series coefficient.  The strong-coupling series of the
+balanced sector comes from its own closed coefficient formula.  Agreement
+of the routes is the point, so none of them shares code with another: each
+computes in its own arithmetic and returns a read-only ``TraceSeries``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -30,47 +30,18 @@ class TraceSeries:
     """Truncated formal series: terms[(grade, alpha)] is the coefficient of
     coupling^grade times the trace monomial for alpha.
 
+    A read-only result: each route builds its terms in its own arithmetic
+    and hands them over once; readers slice, truncate, sort and compare.
     Coefficients are exact: ints in the fixed point's w series, Fractions
-    in the free energies.  The algebra only needs +, * and truth-testing.
+    in the free energies.  Zero coefficients are dropped.
     """
 
     max_order: int
-    terms: dict[tuple[int, Partition], int | Fraction] = field(
-        default_factory=dict)
+    terms: dict[tuple[int, Partition], int | Fraction]
 
     def __post_init__(self):
         cleaned = {key: c for key, c in self.terms.items() if c}
         object.__setattr__(self, "terms", cleaned)
-
-    # -- algebra (all truncating at max_order) -------------------------------
-
-    def __add__(self, other: TraceSeries | int | Fraction) -> TraceSeries:
-        if isinstance(other, (int, Fraction)):
-            other = TraceSeries(self.max_order, {(0, EMPTY): other})
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return TraceSeries(self.max_order, out)
-
-    def __sub__(self, other: TraceSeries | int | Fraction) -> TraceSeries:
-        return self + (other * -1 if isinstance(other, TraceSeries)
-                       else -other)
-
-    def __mul__(self, other) -> TraceSeries:
-        if isinstance(other, TraceSeries):
-            out: dict = {}
-            for (g1, a1), c1 in self.terms.items():
-                for (g2, a2), c2 in other.terms.items():
-                    g = g1 + g2
-                    if g > self.max_order:
-                        continue
-                    key = (g, a1.merge(a2))
-                    out[key] = out.get(key, 0) + c1 * c2
-            return TraceSeries(self.max_order, out)
-        return TraceSeries(self.max_order,
-                           {key: c * other for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def grade_slice(self, g: int) -> dict[Partition, object]:
         return {a: c for (gg, a), c in self.terms.items() if gg == g}

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from sunint import cli, haar_mc
+from sunint import cli, haar_mc, largen
 from sunint.cli import main
+from sunint.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -110,6 +111,48 @@ def test_largen_ww_order_2(capsys):
            for t in payload["terms"]}
     assert got == {(1, "1^1"): "1", (2, "1^2"): "1/2", (2, "2^1"): "-1/2"}
     assert all(t["kappa_power"] == 2 * t["grade"] for t in payload["terms"])
+
+
+def test_largen_latex_text(capsys):
+    wd = [r"\tilde\kappa^{1} \cdot 1 \, t_1",
+          r"\tilde\kappa^{2} \cdot \frac{1}{2} \, t_1^{2}",
+          r"\tilde\kappa^{2} \cdot -\frac{1}{2} \, t_2",
+          r"\tilde\kappa^{3} \cdot \frac{1}{3} \, t_1^{3}",
+          r"\tilde\kappa^{3} \cdot -1 \, t_1 t_2",
+          r"\tilde\kappa^{3} \cdot \frac{2}{3} \, t_3"]
+    ww = [r"\tilde\kappa^{2} \cdot 1 \, \tau_1",
+          r"\tilde\kappa^{4} \cdot \frac{1}{2} \, \tau_1^{2}",
+          r"\tilde\kappa^{4} \cdot -\frac{1}{2} \, \tau_2"]
+    assert run(capsys, "largen", "wd", "--order", "3", "--format",
+               "latex") == (0, "\n".join(wd) + "\n", "")
+    assert run(capsys, "largen", "ww", "--order", "2", "--format",
+               "latex") == (0, "\n".join(ww) + "\n", "")
+
+
+def _closed_with_one_term_changed(order):
+    series = largen.shifted_free_energy_closed(order)
+    terms = dict(series.terms)
+    terms[(2, Partition.from_string("2^1"))] = Fraction(1, 2)
+    return largen.TraceSeries(order, terms)
+
+
+def test_largen_compare_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SERIES, ("wd", "fixedpoint"),
+                        _closed_with_one_term_changed)
+    code, payload = run_json(capsys, "largen", "wd", "--order", "3",
+                             "--compare")
+    assert code == 1
+    assert payload["compare"] == {
+        "methods": ["fixedpoint", "finite-n"],
+        "identical": False,
+        "mismatches": [{"method": "fixedpoint", "grade": 2,
+                        "partition": "2^1", "expected": "-1/2",
+                        "got": "1/2"}]}
+    # in latex the series is printed as usual and only the status reports
+    _, latex, _ = run(capsys, "largen", "wd", "--order", "3",
+                      "--format", "latex")
+    assert run(capsys, "largen", "wd", "--order", "3", "--compare",
+               "--format", "latex") == (1, latex, "")
 
 
 def test_largen_compare_routes_identical(capsys):
@@ -239,6 +282,7 @@ def _nested(dim):
 
 
 FLAT = "flat list of N*N [re, im] pairs"
+NEED_N = "source matrices need N as an integer >= 1"
 
 
 @pytest.mark.parametrize("dim, text, message", [
@@ -251,8 +295,15 @@ FLAT = "flat list of N*N [re, im] pairs"
      FLAT),
     (1, json.dumps({"N": 1, "J": _nested(1), "K": _nested(1)}), FLAT),
     (3, json.dumps({"N": 3, "J": _nested(3), "K": _nested(3)}), FLAT),
+    (2, json.dumps({"N": -2, "J": EYE2, "K": EYE2}), NEED_N),
+    (1, json.dumps({"N": 0, "J": [], "K": []}), NEED_N),
+    (2, json.dumps({"N": 2.5, "J": EYE2, "K": EYE2}), NEED_N),
+    (2, json.dumps({"N": "2", "J": EYE2, "K": EYE2}), NEED_N),
+    (1, json.dumps({"N": True, "J": [[1.0, 0.0]], "K": [[1.0, 0.0]]}),
+     NEED_N),
 ], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
-        "wrong-arity", "nested-N1", "nested-N3"])
+        "wrong-arity", "nested-N1", "nested-N3", "negative-N", "zero-N",
+        "float-N", "string-N", "bool-N"])
 def test_mc_malformed_matrices_exit_2(capsys, tmp_path, dim, text, message):
     path = tmp_path / "src.json"
     path.write_text(text)
@@ -538,6 +589,8 @@ def test_sample_and_seed_refusals_come_before_any_work(capsys, argv,
      "--method fixedpoint supports --order <= 27"),
     (("largen", "wd", "--order", "28", "--compare"),
      "--compare runs --method fixedpoint, which supports --order <= 27"),
+    (("mc", "--p", "-1", "--n", "1", "--N", "3"),
+     "--p and --n must be >= 0"),
     (("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200",
       "--matrices", "{matrices}"), "matrices file has N=2, not 3"),
     (("tensor", "--N", "2", "--u", "1-1"),
@@ -547,8 +600,8 @@ def test_sample_and_seed_refusals_come_before_any_work(capsys, argv,
 ], ids=["coeffs-method", "coeffs-method-before-n", "coeffs-n0", "coeffs-n9",
         "largen-order0", "largen-order-first", "largen-ww-method",
         "largen-ww-compare", "largen-ww-compare-before-cap",
-        "largen-cap", "largen-compare-cap", "mc-matrices-N",
-        "tensor-syntax", "tensor-syntax-before-N"])
+        "largen-cap", "largen-compare-cap", "mc-negative-p",
+        "mc-matrices-N", "tensor-syntax", "tensor-syntax-before-N"])
 def test_refusal_table(capsys, tmp_path, argv, line):
     # each refusal is exactly one stderr line, in the order the checks run
     path = tmp_path / "src.json"

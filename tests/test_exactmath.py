@@ -110,12 +110,13 @@ def test_ratfunc_shift():
     assert f.shifted(1) == RatFuncN(-1, N * (N + 1) * (N + 2))
 
 
-def test_ratfunc_degree_gap_and_limit():
+def test_ratfunc_degree_gap_and_negative_power():
     assert RatFuncN(-1, (N**2 - 1) * N).degree_gap() == 3
-    assert RatFuncN(N**2 + 6, N**2 - 9).limit_at_infinity() == 1
-    assert RatFuncN(5, N).limit_at_infinity() == 0
+    # powers are nonnegative; the reciprocal is spelled 1 / f
+    f = RatFuncN(N + 1, N - 2)
     with pytest.raises(ValueError):
-        RatFuncN(N**2, N).limit_at_infinity()
+        f ** -1
+    assert 1 / f == RatFuncN(N - 2, N + 1)
 
 
 def test_parse_round_trip():

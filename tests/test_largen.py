@@ -28,12 +28,33 @@ def series_dict(s):
     return {(g, a.to_string()): v for g, a, v in s.sorted_terms()}
 
 
-def test_trace_series_algebra():
-    a = TraceSeries(3, {(1, part("1^1")): Fraction(2)})
-    b = TraceSeries(3, {(1, part("2^1")): Fraction(1, 2)})
-    prod = a * b
-    assert prod.terms == {(2, part("1^1 2^1")): Fraction(1)}
-    assert (a + b - a).terms == b.terms
+def test_trace_series_read_only_contract():
+    # built out of order, with zero coefficients that construction drops
+    s = TraceSeries(3, {
+        (3, part("3^1")): Fraction(1, 3),
+        (2, part("2^1")): Fraction(-1, 2),
+        (1, part("1^1")): 1,
+        (2, part("1^2")): Fraction(0),
+        (3, part("1^3")): Fraction(1, 3),
+        (3, part("1^1 2^1")): 0,
+    })
+    assert s.terms == {(3, part("3^1")): Fraction(1, 3),
+                       (2, part("2^1")): Fraction(-1, 2),
+                       (1, part("1^1")): 1,
+                       (3, part("1^3")): Fraction(1, 3)}
+    assert [(g, a.to_string(), c) for g, a, c in s.sorted_terms()] == [
+        (1, "1^1", 1), (2, "2^1", Fraction(-1, 2)),
+        (3, "1^3", Fraction(1, 3)), (3, "3^1", Fraction(1, 3))]
+    assert s.grade_slice(3) == {part("1^3"): Fraction(1, 3),
+                                part("3^1"): Fraction(1, 3)}
+    assert s.grade_slice(2) == {part("2^1"): Fraction(-1, 2)}
+    low = s.truncated(2)
+    assert low.max_order == 2
+    assert low.terms == {(1, part("1^1")): 1,
+                         (2, part("2^1")): Fraction(-1, 2)}
+    assert low == TraceSeries(2, {(2, part("2^1")): Fraction(-1, 2),
+                                  (1, part("1^1")): 1})
+    assert low != s
 
 
 def test_catalan_functional_equation():
