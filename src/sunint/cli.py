@@ -17,9 +17,11 @@ input by raising ValueError; ``main`` alone writes the text, and turns a
 ValueError or OSError into one ``error:`` line on stderr and exit 2, with
 nothing on stdout.
 
-The numeric layer (``haar_mc``, and with it numpy) is imported only by the
-commands that sample: ``mc``, ``tensor --mc-samples`` and ``verify
---suite mc|all``.
+Each handler, and each verify suite, imports the modules it runs, so a
+command loads only those: ``largen`` alone loads ``largen``, ``verify
+--suite tables|all`` alone loads ``reference``, and the numeric layer
+(``haar_mc``, and with it numpy) is loaded only by the commands that
+sample: ``mc``, ``tensor --mc-samples`` and ``verify --suite mc|all``.
 """
 from __future__ import annotations
 
@@ -33,33 +35,23 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactmath import RatFuncN, format_poly
-from .largen import (
-    TraceSeries,
-    shifted_free_energy_closed,
-    shifted_free_energy_fixedpoint,
-    shifted_free_energy_from_tables,
-    strong_coupling_series,
-)
+# weingarten, and the two modules it imports, are loaded by every command
+# (the parser's help quotes MAX_WEIGHT); the rest is imported where it runs
+from .exactmath import format_poly
 from .partitions import Partition
-from .reference import reference_table, reference_weights
-from .su_shifted import (
-    check_shift_identity,
-    epsilon_integral,
-    shifted_table,
-    shifted_table_recursive,
-)
 from .weingarten import (
     MAX_TENSOR_WEIGHT,
     MAX_WEIGHT,
-    CoeffTable,
     monomial_integral,
     weingarten_table_character,
     weingarten_table_recursive,
 )
 
 if TYPE_CHECKING:
+    from .exactmath import RatFuncN
     from .haar_mc import GroupSpec, SourceMatrices
+    from .largen import TraceSeries
+    from .weingarten import CoeffTable
 
 WEINGARTEN = "weingarten"
 SU_SHIFTED = "su-shifted"
@@ -67,13 +59,18 @@ SU_SHIFTED = "su-shifted"
 _UNITARY = "unitary"
 _SPECIAL_UNITARY = "special-unitary"
 
-_TABLE_BUILDERS = {
-    (WEINGARTEN, "character"): weingarten_table_character,
-    (WEINGARTEN, "recursion"): weingarten_table_recursive,
-    (SU_SHIFTED, "shift"): shifted_table,
-    (SU_SHIFTED, "recursion"): shifted_table_recursive,
-}
 _DEFAULT_METHOD = {WEINGARTEN: "character", SU_SHIFTED: "shift"}
+
+
+def _table_builders() -> dict:
+    """The table builder per (family, method)."""
+    from .su_shifted import shifted_table, shifted_table_recursive
+    return {
+        (WEINGARTEN, "character"): weingarten_table_character,
+        (WEINGARTEN, "recursion"): weingarten_table_recursive,
+        (SU_SHIFTED, "shift"): shifted_table,
+        (SU_SHIFTED, "recursion"): shifted_table_recursive,
+    }
 
 
 def _json_text(payload: dict) -> str:
@@ -122,7 +119,7 @@ def _render_table(table: CoeffTable, fmt: str) -> str:
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[str, int]:
     method = args.method or _DEFAULT_METHOD[args.family]
-    builder = _TABLE_BUILDERS.get((args.family, method))
+    builder = _table_builders().get((args.family, method))
     if builder is None:
         raise ValueError("method %r does not apply to family %r"
                          % (method, args.family))
@@ -166,12 +163,19 @@ def _series_latex(series: TraceSeries, target: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SERIES = {
-    ("wd", "closed"): shifted_free_energy_closed,
-    ("wd", "fixedpoint"): shifted_free_energy_fixedpoint,
-    ("wd", "finite-n"): shifted_free_energy_from_tables,
-    ("ww", "closed"): strong_coupling_series,
-}
+def _series_routes() -> dict:
+    """The series builder per (target, method)."""
+    from .largen import (shifted_free_energy_closed,
+                         shifted_free_energy_fixedpoint,
+                         shifted_free_energy_from_tables,
+                         strong_coupling_series)
+    return {
+        ("wd", "closed"): shifted_free_energy_closed,
+        ("wd", "fixedpoint"): shifted_free_energy_fixedpoint,
+        ("wd", "finite-n"): shifted_free_energy_from_tables,
+        ("ww", "closed"): strong_coupling_series,
+    }
+
 
 # Largest --order per route, so every call ends in bounded time.  On a
 # 2-vCPU box closed and ww take 8-10 s at order 38 (11 s at 39).  The fixed
@@ -189,7 +193,8 @@ def _cmd_largen(args: argparse.Namespace) -> tuple[str, int]:
     if args.order < 1:
         raise ValueError("--order must be >= 1")
     method = args.method or "closed"
-    if (args.target, method) not in _SERIES:
+    routes = _series_routes()
+    if (args.target, method) not in routes:
         raise ValueError("target 'ww' supports only --method closed")
     if args.compare and args.target == "ww":
         raise ValueError("--compare applies to target 'wd' only")
@@ -199,7 +204,7 @@ def _cmd_largen(args: argparse.Namespace) -> tuple[str, int]:
     if args.compare and args.order > _ORDER_CAPS["fixedpoint"]:
         raise ValueError("--compare runs --method fixedpoint, which supports "
                          "--order <= %d" % _ORDER_CAPS["fixedpoint"])
-    series = _SERIES[(args.target, method)](args.order)
+    series = routes[(args.target, method)](args.order)
     payload = _series_payload(series, args.target, method)
     status = 0
     if args.compare:
@@ -207,7 +212,7 @@ def _cmd_largen(args: argparse.Namespace) -> tuple[str, int]:
                   if m != method and args.order <= _ORDER_CAPS[m]]
         mismatches = []
         for other in others:
-            alt = _SERIES[("wd", other)](args.order)
+            alt = routes[("wd", other)](args.order)
             keys = set(series.terms) | set(alt.terms)
             for key in sorted(keys, key=lambda k: (k[0], str(k[1]))):
                 a = series.terms.get(key, Fraction(0))
@@ -364,6 +369,7 @@ def _exact_monomial(i: list[int], j: list[int], k: list[int], l: list[int],
     if sector == "balanced":
         return monomial_integral(i, j, k, l, dim), sector
     if sector == "shifted" and not k:
+        from .su_shifted import epsilon_integral
         return epsilon_integral(i, j, dim), "epsilon"
     return None, "outside-range" if sector == "shifted" else sector
 
@@ -413,10 +419,12 @@ def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:
 # --------------------------------------------------------------- verify
 
 def _suite_tables() -> list[dict]:
+    from .reference import reference_table, reference_weights
+    builders = _table_builders()
     checks = []
     for family in (WEINGARTEN, SU_SHIFTED):
-        primary = _TABLE_BUILDERS[(family, _DEFAULT_METHOD[family])]
-        secondary = _TABLE_BUILDERS[(family, "recursion")]
+        primary = builders[(family, _DEFAULT_METHOD[family])]
+        secondary = builders[(family, "recursion")]
         for n in reference_weights(family):
             ref = reference_table(family, n)
             got = primary(n)
@@ -431,6 +439,7 @@ def _suite_tables() -> list[dict]:
 
 
 def _suite_shift() -> list[dict]:
+    from .su_shifted import check_shift_identity
     checks = []
     for n in range(1, 6):
         rows = check_shift_identity(n)
@@ -440,6 +449,10 @@ def _suite_shift() -> list[dict]:
 
 
 def _suite_largen() -> list[dict]:
+    from .largen import (shifted_free_energy_closed,
+                         shifted_free_energy_fixedpoint,
+                         shifted_free_energy_from_tables,
+                         strong_coupling_series)
     checks = []
     closed = shifted_free_energy_closed(8)
     checks.append({"name": "wd closed == fixedpoint to order 8",

@@ -292,7 +292,8 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
     workers = min(_CORES, batches)
     if workers <= 1:
         return merged(map(moments, range(batches)))
-    # imported here: concurrent.futures costs every `import sunint` ~7 ms
+    # imported here: concurrent.futures takes ~7 ms to import, which a
+    # single-batch call (most `sunint mc` commands) never needs
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
         return merged(_ordered(pool, moments, batches, 2 * workers))

@@ -137,7 +137,7 @@ def _closed_with_one_term_changed(order):
 
 
 def test_largen_compare_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setitem(cli._SERIES, ("wd", "fixedpoint"),
+    monkeypatch.setattr(largen, "shifted_free_energy_fixedpoint",
                         _closed_with_one_term_changed)
     code, payload = run_json(capsys, "largen", "wd", "--order", "3",
                              "--compare")
@@ -727,17 +727,21 @@ def _fresh_python(script: str, *args: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-_BLOCKED_NUMPY_MAIN = """
+_CLI_MAIN = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # from here on every numpy import raises
+argvs, block_numpy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if block_numpy:
+    sys.modules["numpy"] = None  # from here on every numpy import raises
 from sunint import cli
 codes = []
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = [name for name, module in sys.modules.items()
           if name.partition(".")[0] == "numpy" and module is not None]
-print(json.dumps({"codes": codes, "numpy": loaded}))
+submodules = sorted(name.partition(".")[2] for name in sys.modules
+                    if name.startswith("sunint."))
+print(json.dumps({"codes": codes, "numpy": loaded, "sunint": submodules}))
 """
 
 
@@ -760,20 +764,68 @@ def test_exact_commands_run_with_numpy_blocked():
         ["largen", "ww", "--order", "39"],
         ["tensor", "--N", "3", "--u", "5:5", "--group", "unitary"],
     ]
-    facts = _fresh_python(_BLOCKED_NUMPY_MAIN, json.dumps(calls + refusals))
-    assert facts == {"codes": [0] * len(calls) + [2] * len(refusals),
-                     "numpy": []}
+    facts = _fresh_python(_CLI_MAIN, json.dumps(calls + refusals), "true")
+    assert facts["codes"] == [0] * len(calls) + [2] * len(refusals)
+    assert facts["numpy"] == []
+
+
+# cli, and weingarten with the two modules it imports, load on every command
+_EVERY_COMMAND = ["cli", "exactmath", "partitions", "weingarten"]
+
+
+@pytest.mark.parametrize("argv, more", [
+    (["coeffs", "--family", "weingarten", "--n", "4"], ["su_shifted"]),
+    (["largen", "wd", "--order", "4", "--compare"],
+     ["largen", "su_shifted"]),
+    (["tensor", "--N", "3", "--u", "1:1,2:2", "--udagger", "1:1,2:2"], []),
+    (["tensor", "--N", "2", "--u", "1:1,2:2"], ["su_shifted"]),
+    (["tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
+      "--mc-samples", "200"], ["haar_mc", "su_shifted"]),
+    (["mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200"],
+     ["haar_mc", "su_shifted"]),
+    # reference reads its JSON through the sunint.data package
+    (["verify", "--suite", "tables"], ["data", "reference", "su_shifted"]),
+    (["verify", "--suite", "shift"], ["su_shifted"]),
+    (["verify", "--suite", "largen"], ["largen", "su_shifted"]),
+    (["verify", "--suite", "mc", "--samples", "200"],
+     ["haar_mc", "su_shifted"]),
+    (["verify", "--suite", "all", "--samples", "200"],
+     ["data", "haar_mc", "largen", "reference", "su_shifted"]),
+], ids=lambda v: "-".join(v).replace("--", "") or "none")
+def test_each_command_loads_only_its_modules(argv, more):
+    # numpy stays blocked for every command that does not sample
+    facts = _fresh_python(_CLI_MAIN, json.dumps([argv]),
+                          json.dumps("haar_mc" not in more))
+    assert facts["codes"] == [0]
+    assert facts["sunint"] == sorted(_EVERY_COMMAND + more)
 
 
 _LAZY_PACKAGE = """
-import json, sys
+import importlib, json, sys
 import sunint
-facts = {"numpy_on_import": "numpy" in sys.modules}
+facts = {"submodules": [name for name in sys.modules
+                        if name.startswith("sunint.")]}
+sunint.Partition
+facts["after_partition"] = sorted(name for name in sys.modules
+                                  if name.startswith("sunint."))
+facts["numpy_before_numeric_name"] = "numpy" in sys.modules
 from sunint import estimate_trace_moment
+facts["numpy_after_numeric_name"] = "numpy" in sys.modules
 facts["unresolved"] = [name for name in sunint.__all__
                        if not hasattr(sunint, name)]
-facts["same_object"] = sunint.sample_haar is sunint.haar_mc.sample_haar
+facts["not_home_object"] = [
+    name for home, names in sunint._EXPORTS.items() for name in names
+    if getattr(sunint, name)
+    is not getattr(importlib.import_module("sunint." + home), name)]
+facts["uncached"] = [name for name in sunint.__all__
+                     if name not in vars(sunint)]
+star = {}
+exec("from sunint import *", star)
+facts["unbound_by_star"] = [name for name in sunint.__all__
+                            if name not in star]
 facts["all_in_dir"] = set(sunint.__all__) <= set(dir(sunint))
+facts["listed_once"] = (sum(map(len, sunint._EXPORTS.values()))
+                        == len(sunint.__all__))
 try:
     sunint.no_such_name
     facts["unknown_raises"] = False
@@ -785,5 +837,10 @@ print(json.dumps(facts))
 
 def test_import_sunint_loads_numpy_on_first_numeric_name():
     assert _fresh_python(_LAZY_PACKAGE) == {
-        "numpy_on_import": False, "unresolved": [], "same_object": True,
-        "all_in_dir": True, "unknown_raises": True}
+        "submodules": [],
+        "after_partition": ["sunint.exactmath", "sunint.partitions"],
+        "numpy_before_numeric_name": False,
+        "numpy_after_numeric_name": True,
+        "unresolved": [], "not_home_object": [], "uncached": [],
+        "unbound_by_star": [], "all_in_dir": True, "listed_once": True,
+        "unknown_raises": True}

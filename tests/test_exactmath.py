@@ -236,11 +236,16 @@ def _fraction_sum(a, b, c, d):
 ], ids=["mixed-digits", "digits-20", "digits-40", "digits-80",
         "long-literal-product", "literal-power"])
 def test_parse_refuses_large_coefficients_quickly(text):
-    # within the degree bound, but the coefficients grow with the literals
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="coefficients above 1024 bits"):
-        parse_ratfunc(text)
-    assert time.perf_counter() - start < 0.05
+    # within the degree bound, but the coefficients grow with the literals.
+    # The fastest of five refusals is timed: one pause of the host cannot
+    # fail the test, while a refusal that is slow every time still does
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="coefficients above 1024 bits"):
+            parse_ratfunc(text)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
 
 
 def test_parse_admits_degree_at_the_bound():
