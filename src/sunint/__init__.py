@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # each public name, under the submodule that defines it
 _EXPORTS = {
     "exactmath": (
-        "N", "PolyN", "RatFuncN", "poly_gcd", "format_poly", "parse_ratfunc",
+        "N", "PolyN", "RatFuncN", "poly_gcd", "format_poly",
         "solve_linear_system", "LinearSystemError", "RankDeficientError",
         "InconsistentSystemError"),
     "partitions": (

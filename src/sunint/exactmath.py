@@ -1,6 +1,5 @@
 """Exact arithmetic kernel: polynomials and rational functions of the matrix
-dimension N, a reader for expressions in N (Python's ``ast`` parser with a
-node whitelist), and exact linear solving over that field by fraction-free
+dimension N, and exact linear solving over that field by fraction-free
 elimination in Z[N].
 
 Coefficients are exact rationals: an ``int`` when integral, else a reduced
@@ -18,9 +17,6 @@ threads.
 
 from __future__ import annotations
 
-import ast
-import operator
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -446,111 +442,6 @@ def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
     if g.degree <= 0:
         return num, den
     return num.exact_div(g), den.exact_div(g)
-
-
-# -- parsing ---------------------------------------------------------------
-
-# the grammar's characters, every '^' followed by digits: ast drops the
-# parentheses of N^(2), which the grammar refuses
-_ALPHABET = re.compile(r"(?:[0-9N+\-*/()\s]|\^\s*[0-9])*")
-_LEADING_ZEROS = re.compile(r"\b0+(?=[0-9])")
-_UNARY = {ast.UAdd: lambda value: value, ast.USub: operator.neg}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv}
-
-#: Largest exponent times the exponents around it, and largest degree before
-#: cancelling of any numerator or denominator, that ``parse_ratfunc``
-#: computes.  Printed tables use at most N^35 (weight 12).  On a 2-vCPU box
-#: (N+1)^256 takes 4 ms, a 40-character base to the 256th about 1 s,
-#: (N+1)^2000 1.4 s and a sum of fractions of degree 256 and 128 14 s.
-MAX_EXPONENT = 256
-# Largest coefficient size, in bits of the sum of the absolute coefficients
-# of a numerator or denominator, times the exponents around it, that
-# parse_ratfunc computes.  The degree bound alone admits sums of degree-128
-# fractions whose time grows with their literals, in the gcds: 2.0 s on a
-# 2-vCPU box with 20-digit literals, 5.8 s with 40.  Under this bound the
-# slowest such sum of linear factors tried takes 0.3 s; the printed tables
-# need under 100 bits.
-_MAX_COEFF_BITS = 1024
-
-
-def parse_ratfunc(text: str) -> RatFuncN:
-    """Parse an expression in N.
-
-    Grammar (whitespace-insensitive): integers, the symbol N, parentheses,
-    unary and binary + and -, * and /, and ``^`` with a nonnegative integer
-    literal as exponent; ``^`` binds tighter than unary minus and does not
-    chain.  With ``^`` spelled ``**`` this is Python's expression grammar
-    with Python's precedence, so ``ast.parse`` reads the text and a
-    whitelist evaluates the tree: int constants, the name N, unary + and -,
-    binary + - * /, and ``**`` with an int literal exponent.  Nothing is
-    compiled or executed.  Any other character or node, malformed text and
-    input nested beyond Python's recursion limit raise ValueError, and so
-    does an exponent or an intermediate degree above ``MAX_EXPONENT`` (see
-    there) or an intermediate coefficient size above a like bound; a zero
-    divisor raises ZeroDivisionError.
-    This accepts everything ``str(RatFuncN)`` emits, plus factored input
-    like ``8*(2*N^2 - 3)/((N^2 - 9)*N^2)``.
-    """
-    if not _ALPHABET.fullmatch(text) or "**" in text:
-        raise ValueError("unexpected character or exponent in expression")
-    # one line of Python with no leading zeros, which its tokenizer refuses
-    source = _LEADING_ZEROS.sub("", " ".join(text.split()))
-    try:
-        tree = ast.parse(source.replace("^", "**"), mode="eval")
-        return _evaluate(tree.body)
-    except SyntaxError as exc:
-        raise ValueError(f"malformed expression: {exc.msg}") from None
-    except RecursionError:
-        raise ValueError("expression nested too deeply") from None
-
-
-def _evaluate(node: ast.expr, power: int = 1) -> RatFuncN:
-    """The value of node, which sits inside powers whose exponents multiply
-    to power (zero exponents count as one)."""
-    op = type(getattr(node, "op", None))
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        _check_bits(node.value.bit_length(), power)
-        return RatFuncN(node.value)
-    if isinstance(node, ast.Name) and node.id == "N":
-        return RatFuncN(N)
-    if isinstance(node, ast.UnaryOp) and op in _UNARY:
-        return _UNARY[op](_evaluate(node.operand, power))
-    if isinstance(node, ast.BinOp) and op in _BINARY:
-        a, b = _evaluate(node.left, power), _evaluate(node.right, power)
-        (an, ad), (bn, bd) = ((v.num.degree, v.den.degree) for v in (a, b))
-        if op is ast.Div:
-            bn, bd = bd, bn
-        # a op b's degree before cancelling, times the powers around it
-        if power * max(an + bn if op in (ast.Mult, ast.Div)
-                       else max(an + bd, bn + ad), ad + bd) > MAX_EXPONENT:
-            raise ValueError(f"degree above {MAX_EXPONENT} in expression")
-        # likewise its coefficient bits: they add under * and /, and + and -
-        # cross-multiply and add one carry bit
-        _check_bits(_bits(a) + _bits(b) + (op in (ast.Add, ast.Sub)), power)
-        return _BINARY[op](a, b)
-    if (isinstance(node, ast.BinOp) and op is ast.Pow
-            and isinstance(node.right, ast.Constant)
-            and type(node.right.value) is int):
-        power *= max(node.right.value, 1)
-        if power > MAX_EXPONENT:
-            raise ValueError(f"exponent above {MAX_EXPONENT} in expression")
-        return _evaluate(node.left, power) ** node.right.value
-    raise ValueError(f"unsupported {type(node).__name__} in expression")
-
-
-def _bits(value: RatFuncN) -> int:
-    """Bits of the sum of the absolute coefficients of value's numerator or
-    denominator, whichever is larger; the sum bounds each coefficient and is
-    submultiplicative."""
-    return max(sum(map(abs, p.coeffs)).bit_length()
-               for p in (value.num, value.den))
-
-
-def _check_bits(bits: int, power: int) -> None:
-    if power * bits > _MAX_COEFF_BITS:
-        raise ValueError(
-            f"coefficients above {_MAX_COEFF_BITS} bits in expression")
 
 
 # -- linear solving ----------------------------------------------------------

@@ -676,6 +676,25 @@ def test_verify_tables_suite(capsys):
     assert "su-shifted n=8 dual route" in names
 
 
+def test_verify_tables_suite_fails_on_a_missing_packaged_entry(
+        capsys, monkeypatch):
+    from sunint import reference
+    whole = reference.reference_table
+
+    def one_entry_short(family, n):
+        table = whole(family, n)
+        if (family, n) == ("weingarten", 3):
+            del table[Partition.from_string("1^3")]
+        return table
+
+    monkeypatch.setattr(reference, "reference_table", one_entry_short)
+    code, payload = run_json(capsys, "verify", "--suite", "tables")
+    assert code == 1 and payload["pass"] is False
+    failed = [c["name"] for c in payload["suites"]["tables"]["checks"]
+              if not c["pass"]]
+    assert failed == ["weingarten n=3 vs packaged"]
+
+
 def test_verify_shift_and_largen_suites(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "shift")
     assert code == 0 and payload["pass"] is True
