@@ -137,13 +137,8 @@ class PolyN:
         if k < 0:
             raise ValueError("negative polynomial power")
         out = PolyN([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        for _ in range(k):
+            out = out * self
         return out
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -279,12 +274,13 @@ class RatFuncN:
     denominator coefficient.  Zero is 0/1.  With that convention two equal
     values always have identical representations.
 
-    The constructor reduces by a full gcd.  Arithmetic on values already in
-    canonical form reduces only by the factors that can be shared (Henrici,
-    Knuth TAOCP vol. 2, 4.5.1): a sum a/b + c/d over g = gcd(b, d) can only
-    cancel gcd(numerator, g), and a product only gcd(a, d) and gcd(c, b).
-    Every path ends in ``_canonical``, which fixes content and sign, so the
-    representation is the same whichever way a value was computed.
+    The constructor reduces by a full gcd, and sums go through it.  A
+    product of values already in canonical form reduces only by the factors
+    that can be shared (Henrici, Knuth TAOCP vol. 2, 4.5.1): (a/b)(c/d) only
+    across gcd(a, d) and gcd(c, b).  Sums get no such shortcut because no
+    table or series route adds rational functions.  Every path ends in
+    ``_canonical``, which fixes content and sign, so the representation is
+    the same whichever way a value was computed.
     """
 
     __slots__ = ("num", "den")
@@ -339,18 +335,8 @@ class RatFuncN:
 
     def __add__(self, other: RatFuncN | PolyN | Scalar) -> RatFuncN:
         other = _as_ratfunc(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g = _primitive_gcd(b, d)
-        if g.degree <= 0:
-            return RatFuncN._coprime(a * d + c * b, b * d)
-        b, d = b.exact_div(g), d.exact_div(g)
-        num = a * d + c * b
-        den = self.den * d
-        # a factor of b/g or d/g cannot divide num, so only g's can cancel
-        h = _primitive_gcd(num, g)
-        if h.degree > 0:
-            num, den = num.exact_div(h), den.exact_div(h)
-        return RatFuncN._coprime(num, den)
+        return RatFuncN(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
 
     __radd__ = __add__
 
@@ -459,11 +445,12 @@ def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
 
 def _lcm_den(values: Sequence[RatFuncN | PolyN | Scalar]) -> PolyN:
     """An lcm over Q[N] of the denominators of the rational functions among
-    values (1 when there are none)."""
+    values (1 when there are none).  It stays in Z[N]: each denominator is
+    divided by a primitive gcd (Gauss's lemma)."""
     out = _POLY_ONE
     for v in values:
         if isinstance(v, RatFuncN) and v.den.degree > 0:
-            out = out * v.den.exact_div(poly_gcd(out, v.den))
+            out = out * v.den.exact_div(_primitive_gcd(out, v.den))
     return out
 
 

@@ -128,6 +128,9 @@ class SourceMatrices:
             if len(data) != dim * dim or any(len(z) != 2 for z in data):
                 raise ValueError("J and K must each be a flat list of N*N "
                                  "[re, im] pairs, row-major")
+            # exact types: a JSON true or false is a bool, an int subclass
+            if any(type(x) not in (int, float) for z in data for x in z):
+                raise TypeError("entries must be JSON numbers")
             return np.array([complex(re, im) for re, im in data]).reshape(
                 dim, dim)
 
@@ -136,7 +139,7 @@ class SourceMatrices:
             if type(dim) is not int or dim < 1:
                 raise ValueError("source matrices need N as an integer >= 1")
             return cls(decode(payload["J"]), decode(payload["K"]))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError("source matrices must be an object with N, J "
                              "and K, entries as [re, im] numbers") from exc
 
@@ -241,7 +244,7 @@ def _batch_size(dim: int) -> int:
 
 
 def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
-                 values_of: Callable = lambda u: u) -> np.ndarray:
+                 values_of: Callable) -> np.ndarray:
     """values_of over the first count samples of batch index, drawn from the
     batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
     entries; the chunks continue the stream, so they are one draw."""
@@ -250,14 +253,6 @@ def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
     return np.concatenate([values_of(_haar_batch(
         spec, (k + 1) * count // parts - k * count // parts, rng))
         for k in range(parts)])
-
-
-def _moments(values: np.ndarray) -> tuple[int, complex, float, float]:
-    """(count, mean, M2 of the real parts, M2 of the imaginary parts)."""
-    mean = complex(values.mean())
-    return (values.size, mean,
-            float(((values.real - mean.real) ** 2).sum()),
-            float(((values.imag - mean.imag) ** 2).sum()))
 
 
 def _estimate(spec: GroupSpec, samples: int, seed: int,
@@ -270,24 +265,41 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
     batches = -(-samples // size)
 
     def moments(index: int) -> tuple[int, complex, float, float]:
+        """(count, mean, M2 of the real parts, M2 of the imaginary parts)."""
         count = min(size, samples - index * size)
         # errstate holds per thread, so it is set where the batch runs;
         # values beyond double range become inf or nan and merged refuses them
         with np.errstate(over="ignore", invalid="ignore"):
-            return _moments(batch_values(index, count))
+            values = batch_values(index, count)
+            mean = complex(values.mean())
+            return (values.size, mean,
+                    float(((values.real - mean.real) ** 2).sum()),
+                    float(((values.imag - mean.imag) ** 2).sum()))
 
     def merged(parts) -> MCEstimate:
-        acc = _Accumulator()
+        """The batch moments combined in order by the associative
+        (count, mean, M2) update."""
+        count, mean, m2_real, m2_imag = 0, complex(0), 0.0, 0.0
         try:
-            for part in parts:
-                acc.add(*part)
+            for b, mean_b, m2r, m2i in parts:
+                total = count + b
+                delta = mean_b - mean
+                if count:
+                    m2_real += m2r + delta.real ** 2 * count * b / total
+                    m2_imag += m2i + delta.imag ** 2 * count * b / total
+                else:    # the first delta has weight zero: do not square it
+                    m2_real += m2r
+                    m2_imag += m2i
+                mean += delta * (b / total)
+                count = total
         except OverflowError:    # squaring a batch mean beyond double range
             raise ValueError(_NOT_FINITE) from None
-        est = acc.estimate(seed)
-        if not all(map(isfinite, (est.mean.real, est.mean.imag,
-                                  est.stderr_real, est.stderr_imag))):
+        # count >= 2: every estimator calls check_sampling first
+        scale = 1.0 / ((count - 1) * count)
+        stderr = sqrt(m2_real * scale), sqrt(m2_imag * scale)
+        if not all(map(isfinite, (mean.real, mean.imag, *stderr))):
             raise ValueError(_NOT_FINITE)
-        return est
+        return MCEstimate(mean, *stderr, samples=count, seed=seed)
 
     workers = min(_CORES, batches)
     if workers <= 1:
@@ -311,41 +323,6 @@ def _ordered(pool, fn: Callable[[int], tuple], count: int,
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
-
-
-class _Accumulator:
-    """Streaming mean / second-moment accumulator over complex values,
-    merged batch-by-batch with the associative (count, mean, M2) update."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = complex(0)
-        self.m2_real = 0.0
-        self.m2_imag = 0.0
-
-    def add(self, b: int, mean_b: complex, m2r: float, m2i: float) -> None:
-        total = self.count + b
-        delta = mean_b - self.mean
-        if self.count:
-            self.m2_real += m2r + delta.real ** 2 * self.count * b / total
-            self.m2_imag += m2i + delta.imag ** 2 * self.count * b / total
-        else:    # the first batch's delta has weight zero: do not square it
-            self.m2_real += m2r
-            self.m2_imag += m2i
-        self.mean += delta * (b / total)
-        self.count = total
-
-    def estimate(self, seed: int) -> MCEstimate:
-        if self.count < 2:
-            raise ValueError("need at least 2 samples")
-        scale = 1.0 / ((self.count - 1) * self.count)
-        return MCEstimate(
-            mean=self.mean,
-            stderr_real=sqrt(self.m2_real * scale),
-            stderr_imag=sqrt(self.m2_imag * scale),
-            samples=self.count,
-            seed=seed,
-        )
 
 
 def estimate_trace_moment(p: int, n: int, src: SourceMatrices,

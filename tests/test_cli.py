@@ -301,9 +301,13 @@ NEED_N = "source matrices need N as an integer >= 1"
     (2, json.dumps({"N": "2", "J": EYE2, "K": EYE2}), NEED_N),
     (1, json.dumps({"N": True, "J": [[1.0, 0.0]], "K": [[1.0, 0.0]]}),
      NEED_N),
+    (1, json.dumps({"N": 1, "J": [[True, False]], "K": [[1, 0]]}),
+     "entries as [re, im] numbers"),
+    (1, json.dumps({"N": 1, "J": [[10 ** 400, 0]], "K": [[1, 0]]}),
+     "entries as [re, im] numbers"),
 ], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
         "wrong-arity", "nested-N1", "nested-N3", "negative-N", "zero-N",
-        "float-N", "string-N", "bool-N"])
+        "float-N", "string-N", "bool-N", "bool-entry", "huge-int-entry"])
 def test_mc_malformed_matrices_exit_2(capsys, tmp_path, dim, text, message):
     path = tmp_path / "src.json"
     path.write_text(text)

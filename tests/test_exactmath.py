@@ -359,8 +359,10 @@ def _plain_product(a, b):
 @example(RatFuncN(1, N * (N + 1)), RatFuncN(1, N * (N - 1)))
 @example(RatFuncN(1, N + 1), RatFuncN(N, N + 1))
 def test_henrici_arithmetic_matches_full_reduction(a, b):
-    # sums and products reduce only by the factors that can be shared; the
-    # result must be the representation of a full reduction, in either order
+    # the four sum rows check the constructor path, which sums go through;
+    # the two product rows check the Henrici path, which reduces only by the
+    # factors that can be shared.  Each result, in either order, must be the
+    # representation of a full reduction
     for got, want in ((a + b, _plain_sum(a, b, 1)),
                       (b + a, _plain_sum(b, a, 1)),
                       (a - b, _plain_sum(a, b, -1)),

@@ -35,6 +35,11 @@ EXACT_MODULES = ("exactmath", "partitions", "weingarten", "su_shifted",
                  "largen", "reference")
 
 
+def _matrices(spec, seed, index, count):
+    """The first count Haar matrices of batch index."""
+    return _keyed_batch(spec, seed, index, count, lambda u: u)
+
+
 def _fresh(call):
     """call() after the kept trace columns are cleared, so that it draws
     every batch."""
@@ -192,7 +197,7 @@ def test_seed_determinism_and_stream_slicing():
         size = _batch_size(dim)
         samples = 2 * size + 5
         u = np.concatenate([
-            _keyed_batch(spec, 7, b, min(size, samples - b * size))
+            _matrices(spec, 7, b, min(size, samples - b * size))
             for b in range(3)])
         assert u.shape == (samples, dim, dim)
         values = u[:, 0, 1] * np.conj(u[:, 0, 1])
@@ -206,8 +211,8 @@ def test_seed_determinism_and_stream_slicing():
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
 def test_batch_draw_is_prefix_stable(group, dim):
     spec = GroupSpec(group, dim)
-    full = _keyed_batch(spec, 13, 4, _batch_size(dim))
-    assert (_keyed_batch(spec, 13, 4, 100) == full[:100]).all()
+    full = _matrices(spec, 13, 4, _batch_size(dim))
+    assert (_matrices(spec, 13, 4, 100) == full[:100]).all()
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
@@ -223,7 +228,7 @@ def test_chunked_batch_is_one_draw(group, dim):
     assert chunks.max() * dim ** 2 <= haar_mc._CHUNK_ENTRIES + dim ** 2
     one = _haar_batch(spec, size, np.random.Generator(
         np.random.Philox(key=(13 << 64) + 4)))
-    assert (_keyed_batch(spec, 13, 4, size) == one).all()
+    assert (_matrices(spec, 13, 4, size) == one).all()
 
 
 def test_batch_size_bounds_the_working_set():
@@ -252,6 +257,37 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_batch_merge_matches_exact_two_pass(monkeypatch, cores):
+    # three batches, the last one short, with batch means far apart so the
+    # merge's between-batch term carries much of the variance
+    spec = GroupSpec(UNITARY, 16)
+    size = _batch_size(16)
+    samples = 2 * size + 37
+
+    def batch_values(index, count):
+        # a generator per call, so the values do not depend on the thread
+        rng = np.random.default_rng(index)
+        shift = (index + 1) * complex(3, -2)
+        return shift + rng.standard_normal(count) + 1j * rng.standard_normal(
+            count) * (index + 1)
+
+    monkeypatch.setattr(haar_mc, "_CORES", cores)
+    est = haar_mc._estimate(spec, samples, 5, batch_values)
+    values = np.concatenate([batch_values(b, min(size, samples - b * size))
+                             for b in range(3)])
+    assert est.samples == values.size == samples and est.seed == 5
+    for part, got_mean, got_err in (
+            (values.real, est.mean.real, est.stderr_real),
+            (values.imag, est.mean.imag, est.stderr_imag)):
+        exact = [Fraction(x) for x in part.tolist()]
+        mean = sum(exact) / samples
+        m2 = sum((x - mean) ** 2 for x in exact)
+        assert got_mean == pytest.approx(float(mean), rel=1e-12)
+        assert got_err == pytest.approx(
+            float(m2 / (samples * (samples - 1))) ** 0.5, rel=1e-12)
 
 
 def _kept_values() -> int:
@@ -390,7 +426,7 @@ def test_left_invariance():
         values = []
         size = _batch_size(3)
         for b in range(-(-10**5 // size)):
-            u = _keyed_batch(spec, seed, b, min(size, 10**5 - b * size))
+            u = _matrices(spec, seed, b, min(size, 10**5 - b * size))
             if transform is not None:
                 u = transform @ u
             i, j, k, l = idx
