@@ -30,6 +30,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from math import factorial, isfinite, prod, sqrt
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -67,6 +68,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.group not in (UNITARY, SPECIAL_UNITARY):
             raise ValueError(f"unknown group {self.group!r}")
+        _check_integers("dimension", self.N)
         if self.N < 1:
             raise ValueError("dimension must be at least 1")
 
@@ -155,7 +157,14 @@ class SourceMatrices:
         return {"N": self.dim, "J": encode(self.J), "K": encode(self.K)}
 
 
+def _check_integers(what: str, *values) -> None:
+    # Python and numpy integers pass; bool, float and the rest do not
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
+        raise ValueError(f"{what} must be an integer")
+
+
 def _check_seed(seed: int) -> None:
+    _check_integers("seed", seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must satisfy 0 <= seed < 2**63")
 
@@ -165,6 +174,7 @@ def check_sampling(samples: int, seed: int, minimum: int) -> None:
     (at least ``minimum``: ``MIN_TRACE_SAMPLES`` for
     ``estimate_trace_moment``, ``MIN_MONOMIAL_SAMPLES`` for
     ``estimate_monomial``) with this seed (0 <= seed < 2**63)."""
+    _check_integers("sample count", samples)
     if samples < minimum:
         raise ValueError(f"need at least {minimum} samples")
     _check_seed(seed)
@@ -248,7 +258,7 @@ def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
     """values_of over the first count samples of batch index, drawn from the
     batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
     entries; the chunks continue the stream, so they are one draw."""
-    rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
     parts = min(count, -(-count * spec.N ** 2 // _CHUNK_ENTRIES))
     return np.concatenate([values_of(_haar_batch(
         spec, (k + 1) * count // parts - k * count // parts, rng))
@@ -333,6 +343,7 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
     if spec.N != src.dim:
         raise ValueError(
             f"group dimension {spec.N} does not match matrices {src.dim}")
+    _check_integers("each exponent", p, n)
     if p < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
     check_sampling(samples, seed, MIN_TRACE_SAMPLES)
@@ -367,6 +378,7 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
     if len(i) != len(j) or len(k) != len(l):
         raise ValueError("paired index lists must have equal length")
     for lists in (i, j, k, l):
+        _check_integers("each index", *lists)
         if any(not 1 <= x <= spec.N for x in lists):
             raise ValueError("index out of range")
     check_sampling(samples, seed, MIN_MONOMIAL_SAMPLES)
@@ -421,10 +433,11 @@ def random_source_matrices(dim: int, seed: int) -> SourceMatrices:
     sample batches can never collide with.  Entries are scaled so traces of
     powers of JK stay of order one as the dimension grows."""
     _check_seed(seed)
+    _check_integers("dimension", dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.Generator(
-        np.random.Philox(key=(seed << 64) + _RESERVED_STREAM))
+        np.random.Philox(key=(int(seed) << 64) + _RESERVED_STREAM))
     scale = 1.0 / sqrt(2 * dim)
 
     def draw():

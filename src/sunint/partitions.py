@@ -136,23 +136,23 @@ class Partition:
 
 
 @lru_cache(maxsize=None)
-def _parts_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _partitions(n: int) -> tuple[Partition, ...]:
     if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, min(n, cap) + 1):
-        out.extend((first, *rest) for rest in _parts_tuples(n - first, first))
-    return tuple(out)
+        return (Partition(),)
+    # largest part first, then the partitions of the rest with no larger part
+    return tuple(rest.add_part(first) for first in range(1, n + 1)
+                 for rest in _partitions(n - first)
+                 if len(rest.multiplicities) <= first)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, in ascending lexicographic order of the
     descending parts tuple: [1^n] first, ..., [n] last.  This order is used
-    everywhere (tables, solver columns, serialized output).
-    """
+    everywhere (tables, solver columns, serialized output).  Each weight's
+    partitions are built once and shared; every call returns a new list."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    return [Partition.from_parts(t) for t in _parts_tuples(n, n)]
+    return list(_partitions(n))
 
 
 #: Irreducibles of S_n are labelled by the same partitions, in the same order.

@@ -22,6 +22,7 @@ from sunint.haar_mc import (
     _cgs2,
     _haar_batch,
     _keyed_batch,
+    check_sampling,
     compare,
     estimate_monomial,
     estimate_trace_moment,
@@ -89,13 +90,26 @@ def test_group_spec_validation():
         GroupSpec("orthogonal", 3)
     with pytest.raises(ValueError):
         GroupSpec(UNITARY, 0)
+    # a count must be a Python or numpy integer, and not a bool
+    for dim in (2.5, 3.0, True, np.float64(3)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            GroupSpec(UNITARY, dim)
+    assert GroupSpec(UNITARY, np.int64(2)).N == 2
 
 
 def test_random_source_matrices_rejects_dimension_below_1():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             random_source_matrices(dim, 0)
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            random_source_matrices(dim, 0)
     assert random_source_matrices(1, 0).dim == 1
+    # a numpy seed names the same stream as the Python int (a 64-bit shift
+    # of it would wrap to seed 0)
+    a, b = random_source_matrices(np.int64(2), np.int64(5)), \
+        random_source_matrices(2, 5)
+    assert (a.J == b.J).all() and (a.K == b.K).all()
 
 
 def test_unitarity_and_determinant_residuals():
@@ -490,3 +504,22 @@ def test_estimator_input_validation():
         estimate_monomial([1], [4], [], [], spec, 1000, 1)
     with pytest.raises(ValueError):
         estimate_monomial([1, 2], [1], [], [], spec, 1000, 1)
+    # non-integral counts, seeds, exponents and indices are refused up
+    # front, not left to fail (or to take a branch cut) inside numpy
+    for samples, seed in ((1000.0, 1), (1000, 1.5), (True, 1), (1000, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_sampling(samples, seed, 100)
+        with pytest.raises(ValueError, match="must be an integer"):
+            estimate_trace_moment(1, 1, src, spec, samples, seed)
+    for p, n in ((1.5, 1), (1, 1.0), (True, 1)):
+        with pytest.raises(ValueError, match="each exponent must be an"):
+            estimate_trace_moment(p, n, src, spec, 1000, 1)
+    for cols in ([1.0], [True], [np.float64(2)]):
+        with pytest.raises(ValueError, match="each index must be an"):
+            estimate_monomial([1], cols, [], [], spec, 1000, 1)
+    # numpy integers stay accepted everywhere
+    one, two = np.int64(1), np.int64(2)
+    assert estimate_trace_moment(one, one, src, GroupSpec(UNITARY, np.int64(3)),
+                                 np.int64(1000), one).samples == 1000
+    assert estimate_monomial([one], [two], [], [], spec, 1000, two) == \
+        estimate_monomial([1], [2], [], [], spec, 1000, 2)

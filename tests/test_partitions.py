@@ -57,6 +57,42 @@ def test_enumeration_order_and_counts():
     assert got == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
     assert len(enumerate_partitions(10)) == 42
     assert len(enumerate_partitions(6)) == 11
+    with pytest.raises(ValueError):
+        enumerate_partitions(-1)
+
+    # against an independent enumeration: cut 1..n at every subset of its
+    # n - 1 gaps, sort each composition's parts descending, and sort the
+    # distinct tuples ascending
+    def brute(n):
+        if n == 0:
+            return [()]
+        out = set()
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            parts, run = [], 1
+            for cut in cuts:
+                if cut:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            out.add(tuple(sorted(parts + [run], reverse=True)))
+        return sorted(out)
+
+    for n in range(17):
+        assert [p.parts for p in enumerate_partitions(n)] == brute(n), n
+
+    # a caller may edit the list it gets without changing the next one
+    first = enumerate_partitions(5)
+    first.clear()
+    enumerate_partitions(6).append(Partition.from_parts([9]))
+    assert [p.parts for p in enumerate_partitions(5)] == brute(5)
+    assert [p.parts for p in enumerate_partitions(6)] == brute(6)
+
+
+def test_enumeration_builds_each_partition_once():
+    for n in range(13):
+        a, b = enumerate_partitions(n), enumerate_partitions(n)
+        assert a is not b
+        assert len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 def test_class_sizes():
