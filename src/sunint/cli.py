@@ -86,10 +86,8 @@ def _frac_latex(x: Fraction) -> str:
 
 def _ratfunc_latex(val: RatFuncN) -> str:
     num = format_poly(val.num)
-    if val.is_polynomial:
-        if val.den.leading == 1:
-            return num
-        return r"\frac{%s}{%s}" % (num, val.den.leading)
+    if val.den == 1:
+        return num
     return r"\frac{%s}{%s}" % (num, format_poly(val.den))
 
 
@@ -319,7 +317,7 @@ def _cmd_mc(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("--N must be >= 1")
     _check_sampled_size("--samples", args.samples, args.N)
     from . import haar_mc
-    haar_mc.check_sampling(args.samples, args.seed, haar_mc.MIN_TRACE_SAMPLES)
+    haar_mc.check_sampling(args.samples, args.seed)
     if args.matrices:
         src = haar_mc.SourceMatrices.from_json_file(args.matrices)
         if src.dim != args.N:
@@ -395,8 +393,7 @@ def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:
         _check_sigmas(args.sigmas)
         _check_sampled_size("--mc-samples", args.mc_samples, dim)
         from . import haar_mc
-        haar_mc.check_sampling(args.mc_samples, args.seed,
-                               haar_mc.MIN_MONOMIAL_SAMPLES)
+        haar_mc.check_sampling(args.mc_samples, args.seed)
     exact, sector = _exact_monomial(i, j, k, l, dim, args.group)
     payload = {"N": dim, "group": args.group, "sector": sector,
                "u": args.u, "udagger": args.udagger,
@@ -447,17 +444,14 @@ def _suite_shift() -> list[dict]:
 
 
 def _suite_largen() -> list[dict]:
-    from .largen import (shifted_free_energy_closed,
-                         shifted_free_energy_fixedpoint,
-                         shifted_free_energy_from_tables,
-                         strong_coupling_series)
+    routes = _series_routes()
     checks = []
-    closed = shifted_free_energy_closed(8)
+    closed = routes[("wd", "closed")](8)
     checks.append({"name": "wd closed == fixedpoint to order 8",
-                   "pass": closed == shifted_free_energy_fixedpoint(8)})
+                   "pass": closed == routes[("wd", "fixedpoint")](8)})
     checks.append({"name": "wd closed == finite-n route to order 8",
-                   "pass": closed == shifted_free_energy_from_tables(8)})
-    ww = strong_coupling_series(4)
+                   "pass": closed == routes[("wd", "finite-n")](8)})
+    ww = routes[("ww", "closed")](4)
     expected_g4 = {
         Partition.from_string("1^4"): Fraction(6),
         Partition.from_string("1^2 2^1"): Fraction(-12),
@@ -526,8 +520,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         _check_entries("--samples", args.samples, str(_SUITE_MC_ENTRIES),
                        _SUITE_MC_ENTRIES, "for the mc suite")
         from . import haar_mc
-        haar_mc.check_sampling(args.samples, args.seed,
-                               haar_mc.MIN_TRACE_SAMPLES)
+        haar_mc.check_sampling(args.samples, args.seed)
     payload = {"suites": {}, "pass": True}
     for name in names:
         print("running suite %r" % name, file=sys.stderr)

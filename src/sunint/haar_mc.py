@@ -45,8 +45,8 @@ _CHUNK_ENTRIES = 2 ** 17         # bounds one worker's live arrays
 _CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
-MIN_TRACE_SAMPLES = 100
-MIN_MONOMIAL_SAMPLES = 2         # the fewest that give a standard error
+# with fewer samples, a 5-sigma pull (compare) fails correct values by chance
+MIN_SAMPLES = 100
 _ROUNDING_FLOOR = 8 * 2.0 ** -52  # relative: a few ulps of the compared values
 _NOT_FINITE = "estimate is not finite: sampled values overflow double precision"
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -148,7 +148,11 @@ class SourceMatrices:
     @classmethod
     def from_json_file(cls, path: str | Path) -> SourceMatrices:
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except RecursionError:    # too deep to parse: refused as not
+                payload = None        # an object, like any other payload
+        return cls.from_json_dict(payload)
 
     def as_json_dict(self) -> dict:
         def encode(mat):
@@ -169,14 +173,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must satisfy 0 <= seed < 2**63")
 
 
-def check_sampling(samples: int, seed: int, minimum: int) -> None:
+def check_sampling(samples: int, seed: int) -> None:
     """Raise ValueError unless an estimator may draw this many samples
-    (at least ``minimum``: ``MIN_TRACE_SAMPLES`` for
-    ``estimate_trace_moment``, ``MIN_MONOMIAL_SAMPLES`` for
-    ``estimate_monomial``) with this seed (0 <= seed < 2**63)."""
+    (at least ``MIN_SAMPLES``) with this seed (0 <= seed < 2**63)."""
     _check_integers("sample count", samples)
-    if samples < minimum:
-        raise ValueError(f"need at least {minimum} samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     _check_seed(seed)
 
 
@@ -346,7 +348,7 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
     _check_integers("each exponent", p, n)
     if p < 0 or n < 0:
         raise ValueError("exponents must be nonnegative")
-    check_sampling(samples, seed, MIN_TRACE_SAMPLES)
+    check_sampling(samples, seed)
     global _kept
     key = (spec, seed, samples, src.J.tobytes(), src.K.tobytes())
     kept_key, kept = _kept    # read once: other threads may replace it
@@ -381,7 +383,7 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
         _check_integers("each index", *lists)
         if any(not 1 <= x <= spec.N for x in lists):
             raise ValueError("index out of range")
-    check_sampling(samples, seed, MIN_MONOMIAL_SAMPLES)
+    check_sampling(samples, seed)
 
     def values_of(u: np.ndarray) -> np.ndarray:
         values = np.ones(u.shape[0], dtype=complex)

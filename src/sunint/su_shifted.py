@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from .exactmath import N, PolyN, RatFuncN
+from .exactmath import N, RatFuncN
 from .partitions import Partition, class_size, enumerate_partitions
 from .weingarten import (
     MAX_WEIGHT,
@@ -102,11 +102,9 @@ def check_shift_identity(n: int) -> list[dict]:
         raise ValueError("weight must be positive")
     balanced = weingarten_table_character(n)
     shifted = shifted_table_recursive(n)
-    even_product = PolyN([1])      # N^2 (N^2-1) ... (N^2-(n-1)^2)
-    down_product = PolyN([1])      # (N+1) N (N-1) ... (N-(n-2))
-    for m in range(n):
-        even_product = even_product * (N**2 - m * m)
-        down_product = down_product * (N + 1 - m)
+    # N^2 (N^2-1) ... (N^2-(n-1)^2) and (N+1) N (N-1) ... (N-(n-2))
+    even_product = _linear_product({k: 1 + (k == 0) for k in range(1 - n, n)})
+    down_product = _linear_product({1 - m: 1 for m in range(n)})
     report = []
     for alpha in enumerate_partitions(n):
         stripped = balanced[alpha] * even_product

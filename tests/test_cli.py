@@ -66,6 +66,10 @@ def test_coeffs_csv_and_latex(capsys):
     assert code == 0
     assert out.startswith(r"\begin{array}")
     assert r"[2^1] & \frac{-1}{N} \\" in out
+    # a polynomial entry prints bare, with no fraction
+    assert run(capsys, "coeffs", "--family", "su-shifted", "--n", "1",
+               "--format", "latex") == (
+        0, "\\begin{array}{ll}\n[1^1] & 1 \\\\\n\\end{array}\n", "")
 
 
 def test_coeffs_method_family_mismatch(capsys):
@@ -305,9 +309,13 @@ NEED_N = "source matrices need N as an integer >= 1"
      "entries as [re, im] numbers"),
     (1, json.dumps({"N": 1, "J": [[10 ** 400, 0]], "K": [[1, 0]]}),
      "entries as [re, im] numbers"),
+    # deeper than json.load can recurse: a RecursionError, not a traceback
+    (2, "[" * 100_000 + "]" * 100_000,
+     "source matrices must be an object with N, J and K"),
 ], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
         "wrong-arity", "nested-N1", "nested-N3", "negative-N", "zero-N",
-        "float-N", "string-N", "bool-N", "bool-entry", "huge-int-entry"])
+        "float-N", "string-N", "bool-N", "bool-entry", "huge-int-entry",
+        "deep-nesting"])
 def test_mc_malformed_matrices_exit_2(capsys, tmp_path, dim, text, message):
     path = tmp_path / "src.json"
     path.write_text(text)
@@ -559,7 +567,7 @@ def test_verify_mc_sampling_bound_counts_the_whole_suite(capsys,
     (("mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "0"),
      "need at least 100 samples"),
     (("tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
-      "--mc-samples", "1"), "need at least 2 samples"),
+      "--mc-samples", "99"), "need at least 100 samples"),
     (("verify", "--suite", "all", "--samples", "50"),
      "need at least 100 samples"),
     (("verify", "--suite", "mc", "--seed", "-1"),
@@ -697,6 +705,35 @@ def test_verify_tables_suite_fails_on_a_missing_packaged_entry(
     failed = [c["name"] for c in payload["suites"]["tables"]["checks"]
               if not c["pass"]]
     assert failed == ["weingarten n=3 vs packaged"]
+
+
+def test_verify_largen_suite_fails_when_a_route_differs(capsys, monkeypatch):
+    monkeypatch.setattr(largen, "shifted_free_energy_fixedpoint",
+                        _closed_with_one_term_changed)
+    code, payload = run_json(capsys, "verify", "--suite", "largen")
+    assert code == 1 and payload["pass"] is False
+    failed = [c["name"] for c in payload["suites"]["largen"]["checks"]
+              if not c["pass"]]
+    assert failed == ["wd closed == fixedpoint to order 8"]
+
+
+def test_verify_shift_suite_fails_on_a_row_that_is_not_ok(capsys,
+                                                         monkeypatch):
+    from sunint import su_shifted
+    whole = su_shifted.check_shift_identity
+
+    def one_row_off(n):
+        rows = whole(n)
+        if n == 3:
+            rows[-1] = dict(rows[-1], ok=False)
+        return rows
+
+    monkeypatch.setattr(su_shifted, "check_shift_identity", one_row_off)
+    code, payload = run_json(capsys, "verify", "--suite", "shift")
+    assert code == 1 and payload["pass"] is False
+    failed = [c["name"] for c in payload["suites"]["shift"]["checks"]
+              if not c["pass"]]
+    assert failed == ["shift identity n=3"]
 
 
 def test_verify_shift_and_largen_suites(capsys):

@@ -31,6 +31,7 @@ def test_poly_basics():
     assert PolyN().degree == -1
     assert (N + 1) * (N - 1) == p
     assert p.shifted(1) == N**2 + 2 * N
+    assert str(p) == "N^2 - 1"
 
 
 def test_poly_coefficients_are_int_when_integral():
@@ -54,6 +55,7 @@ def test_poly_and_ratfunc_add_sub_in_both_orders():
     assert p - r == RatFuncN(N**2 + N - 1, N)
     assert r - p == RatFuncN(-N**2 - N + 1, N)
     assert (p + r) - r == p and p - (p - r) == r
+    assert 1 - p == -N and Fraction(1, 2) - N == PolyN([Fraction(1, 2), -1])
 
 
 def test_poly_divmod_exact():
@@ -115,6 +117,23 @@ def test_ratfunc_degree_gap_and_negative_power():
     with pytest.raises(ValueError):
         f ** -1
     assert 1 / f == RatFuncN(N - 2, N + 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyN().leading, ValueError, "no leading coefficient"),
+    (lambda: (N + 1).divmod(PolyN()), ZeroDivisionError, "division by zero"),
+    (lambda: RatFuncN(N, 0), ZeroDivisionError, "division by zero"),
+    (lambda: RatFuncN(0).degree_gap(), ValueError, "zero function"),
+    (lambda: solve_linear_system([], []), ValueError, "sizes do not match"),
+    (lambda: solve_linear_system([[N]], [1, 2]), ValueError,
+     "sizes do not match"),
+    (lambda: solve_linear_system([[N, 1], [N]], [1, 2]), ValueError,
+     "ragged"),
+], ids=["leading-of-zero", "divmod-by-zero", "zero-denominator",
+        "degree-gap-of-zero", "empty-system", "rhs-length", "ragged-rows"])
+def test_refused_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_parse_round_trip():

@@ -1,6 +1,8 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
 import ast
+import importlib.util
+import os
 import sys
 import threading
 import tracemalloc
@@ -18,6 +20,7 @@ from sunint.haar_mc import (
     UNITARY,
     GroupSpec,
     MCEstimate,
+    SourceMatrices,
     _batch_size,
     _cgs2,
     _haar_batch,
@@ -460,6 +463,38 @@ def test_left_invariance():
     assert abs(m1 - m2) < SIGMAS * err
 
 
+def _two_batch_means(low, high):
+    """The estimate over two whole batches at N = 16, every value of the
+    first equal to low and of the second to high."""
+    return haar_mc._estimate(
+        GroupSpec(UNITARY, 16), 2 * _batch_size(16), 0,
+        lambda index, count: np.full(count, (low, high)[index], dtype=complex))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SourceMatrices(np.eye(2), np.eye(3)), "square matrices"),
+    (lambda: SourceMatrices(np.ones((2, 3)), np.ones((2, 3))),
+     "square matrices"),
+    # each batch is finite, but squaring the gap of their means overflows
+    (lambda: _two_batch_means(0.0, 1e200), "estimate is not finite"),
+], ids=["unequal-sizes", "not-square", "merge-overflow"])
+def test_refused_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_core_count_without_sched_getaffinity(monkeypatch):
+    # platforms without sched_getaffinity fall back to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    spec = importlib.util.spec_from_file_location("sunint._haar_mc_copy",
+                                                  haar_mc.__file__)
+    module = importlib.util.module_from_spec(spec)
+    # the dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert module._CORES == (os.cpu_count() or 1)
+
+
 def test_compare_reports():
     est = MCEstimate(mean=0.334 + 0j, stderr_real=0.002, stderr_imag=0.002,
                      samples=1000, seed=0)
@@ -500,15 +535,21 @@ def test_estimator_input_validation():
         estimate_trace_moment(1, 1, src, spec, 50, 1)
     with pytest.raises(ValueError):
         estimate_trace_moment(1, 1, src, spec, 1000, -1)
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        estimate_trace_moment(1, -1, src, spec, 1000, 1)
     with pytest.raises(ValueError):
         estimate_monomial([1], [4], [], [], spec, 1000, 1)
     with pytest.raises(ValueError):
         estimate_monomial([1, 2], [1], [], [], spec, 1000, 1)
+    # both estimators share one floor: fewer samples fail 5-sigma pulls
+    with pytest.raises(ValueError, match="need at least 100 samples"):
+        estimate_monomial([1], [1], [], [], spec, 99, 1)
+    assert estimate_monomial([1], [1], [], [], spec, 100, 1).samples == 100
     # non-integral counts, seeds, exponents and indices are refused up
     # front, not left to fail (or to take a branch cut) inside numpy
     for samples, seed in ((1000.0, 1), (1000, 1.5), (True, 1), (1000, True)):
         with pytest.raises(ValueError, match="must be an integer"):
-            check_sampling(samples, seed, 100)
+            check_sampling(samples, seed)
         with pytest.raises(ValueError, match="must be an integer"):
             estimate_trace_moment(1, 1, src, spec, samples, seed)
     for p, n in ((1.5, 1), (1, 1.0), (True, 1)):

@@ -57,6 +57,16 @@ def test_trace_series_read_only_contract():
     assert low != s
 
 
+@pytest.mark.parametrize("route", [
+    shifted_free_energy_closed, fixedpoint_w_series,
+    shifted_free_energy_from_tables, strong_coupling_series,
+], ids=["closed", "fixedpoint-w", "finite-n", "strong-coupling"])
+def test_refused_order(route):
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be positive"):
+            route(order)
+
+
 def test_catalan_functional_equation():
     order = 12
     c = [catalan(m) for m in range(order + 1)]

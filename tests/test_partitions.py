@@ -29,6 +29,21 @@ def test_partition_round_trips():
     assert Partition.from_string("1^2 2^1") == p
     assert Partition.from_string("") == Partition()
     assert Partition.from_string("3") == Partition.from_parts([3])
+    assert repr(p) == "Partition.from_string('1^2 2^1')"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Partition([1, -1]), "multiplicities must be nonnegative"),
+    (lambda: Partition([1.0]), "multiplicities must be nonnegative"),
+    (lambda: Partition.from_parts([2, 0]), "parts must be positive"),
+    (lambda: Partition.from_string("0^1"), "bad partition token '0\\^1'"),
+    (lambda: Partition.from_string("2^-1"), "bad partition token"),
+    (lambda: catalan(-1), "Catalan index must be nonnegative"),
+], ids=["negative-multiplicity", "float-multiplicity", "zero-part",
+        "zero-token", "negative-exponent", "catalan-negative"])
+def test_refused_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_partition_edits():

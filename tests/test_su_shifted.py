@@ -25,6 +25,19 @@ def part(text):
     return Partition.from_string(text)
 
 
+@pytest.mark.parametrize("build, n, message", [
+    (shifted_table, -1, "weight must be nonnegative"),
+    (shifted_table_recursive, -1, "weight must be nonnegative"),
+    (shifted_table_recursive, MAX_WEIGHT + 1,
+     "weight %d above supported cap %d" % (MAX_WEIGHT + 1, MAX_WEIGHT)),
+    (check_shift_identity, 0, "weight must be positive"),
+], ids=["shift-negative", "recursion-negative", "recursion-above-cap",
+        "identity-zero"])
+def test_refused_weights(build, n, message):
+    with pytest.raises(ValueError, match=message):
+        build(n)
+
+
 def test_epsilon_integral_values():
     assert epsilon_integral([1, 2], [1, 2], 2) == Fraction(1, 2)
     assert epsilon_integral([1, 2], [2, 1], 2) == Fraction(-1, 2)

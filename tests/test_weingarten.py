@@ -35,6 +35,17 @@ def part(text):
     return Partition.from_string(text)
 
 
+@pytest.mark.parametrize("build, n, message", [
+    (weingarten_table_character, -1, "weight must be nonnegative"),
+    (weingarten_table_recursive, -1, "weight must be nonnegative"),
+    (weingarten_table_recursive, MAX_WEIGHT + 1,
+     "weight %d above supported cap %d" % (MAX_WEIGHT + 1, MAX_WEIGHT)),
+], ids=["character-negative", "recursion-negative", "recursion-above-cap"])
+def test_refused_weights(build, n, message):
+    with pytest.raises(ValueError, match=message):
+        build(n)
+
+
 def test_class_coefficient_small():
     assert weingarten_class_coefficient(part("1^1")) == RatFuncN(1, N)
     assert weingarten_class_coefficient(part("2^1")) == RatFuncN(
