@@ -13,8 +13,8 @@ are drawn.  The value of sample s therefore depends only on (seed, N, s),
 not on how many samples were requested.  Batches run on a thread pool of
 at most one worker per visible core, and their moments are merged in batch
 order, so every estimate is bit-identical for any worker count.  A worker
-takes its batch in chunks of about 2**17 entries, so peak memory stays
-small and does not depend on how the workers' batches overlap in time.
+takes its batch in chunks of about 2**15 entries, 512 KB per array, so an
+SU(32) call of 1000 samples on two workers traces a peak of 4.6 MB.
 
 ``estimate_trace_moment`` keeps the per-sample (tr KU, tr J U-dagger)
 columns of its last call's batches of index below 2**19 / (2 * batch
@@ -41,10 +41,13 @@ from .weingarten import SectorError, weingarten_table_character
 
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
-_CHUNK_ENTRIES = 2 ** 17         # bounds one worker's live arrays
+_CHUNK_ENTRIES = 2 ** 15         # 512 KB arrays: a worker's ~4 fit a 2 MB L2
 _CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
+# an N = 128 file, the sampling cap, is 2.2 MB with indent=2 and 2.9 MB with
+# indent=4; parsing takes about 18 bytes of memory per byte of the file
+_MAX_MATRICES_BYTES = 4 * 2 ** 20
 # with fewer samples, a 5-sigma pull (compare) fails correct values by chance
 MIN_SAMPLES = 100
 _ROUNDING_FLOOR = 8 * 2.0 ** -52  # relative: a few ulps of the compared values
@@ -147,11 +150,15 @@ class SourceMatrices:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> SourceMatrices:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except RecursionError:    # too deep to parse: refused as not
-                payload = None        # an object, like any other payload
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_MATRICES_BYTES + 1)
+        if len(data) > _MAX_MATRICES_BYTES:    # refused before it is parsed
+            raise ValueError(
+                f"matrices file is over {_MAX_MATRICES_BYTES} bytes")
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except RecursionError:    # too deep to parse: refused as not
+            payload = None        # an object, like any other payload
         return cls.from_json_dict(payload)
 
     def as_json_dict(self) -> dict:
@@ -195,12 +202,11 @@ def _haar_batch(spec: GroupSpec, count: int,
     viewed as complex, so the first k of them do not depend on count; with
     the per-N batch of ``_batch_size`` and the per-batch streams of
     ``_keyed_batch``, sample s depends only on (seed, N, s), and on no
-    worker count.  Up
-    to ``_CGS2_MAX_N`` they are orthonormalized by ``_cgs2``; above it by
-    LAPACK QR with the R diagonal phase pushed back into Q, since raw QR is
-    not Haar without that fix.  The special unitary projection divides by
-    the principal N-th root of the determinant, exp(i arg(det Q) / N) since
-    |det Q| = 1.
+    worker count.  Up to ``_CGS2_MAX_N`` they are orthonormalized by
+    ``_cgs2``; above it by LAPACK QR with the R diagonal phase pushed back
+    into Q, since raw QR is not Haar without that fix.  The special unitary
+    projection divides by the principal N-th root of the determinant,
+    exp(i arg(det Q) / N) since |det Q| = 1.  Both scale a fresh Q in place.
     """
     dim = spec.N
     if spec.group == SPECIAL_UNITARY and dim == 1:
@@ -211,9 +217,9 @@ def _haar_batch(spec: GroupSpec, count: int,
     else:
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (diag / np.abs(diag))[:, None, :]
+        q *= (diag / np.abs(diag))[:, None, :]
     if spec.group == SPECIAL_UNITARY:
-        q = q * np.exp(-1j / dim * np.angle(_det(q)))[:, None, None]
+        q *= np.exp(-1j / dim * np.angle(_det(q)))[:, None, None]
     return q
 
 
@@ -259,9 +265,13 @@ def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
                  values_of: Callable) -> np.ndarray:
     """values_of over the first count samples of batch index, drawn from the
     batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
-    entries; the chunks continue the stream, so they are one draw."""
+    entries; the chunks continue the stream, so they are one draw.  Where
+    two fit, no sample is alone in a chunk unless in its batch: einsum sums
+    a lone matrix of over 8192 entries in another order than a stack."""
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
     parts = min(count, -(-count * spec.N ** 2 // _CHUNK_ENTRIES))
+    if 2 * spec.N ** 2 <= _CHUNK_ENTRIES:
+        parts = min(parts, max(1, count // 2))
     return np.concatenate([values_of(_haar_batch(
         spec, (k + 1) * count // parts - k * count // parts, rng))
         for k in range(parts)])

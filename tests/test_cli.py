@@ -312,10 +312,13 @@ NEED_N = "source matrices need N as an integer >= 1"
     # deeper than json.load can recurse: a RecursionError, not a traceback
     (2, "[" * 100_000 + "]" * 100_000,
      "source matrices must be an object with N, J and K"),
+    # a valid file padded one byte past the cap: refused before parsing
+    (2, json.dumps({"N": 2, "J": EYE2, "K": EYE2}).ljust(
+        haar_mc._MAX_MATRICES_BYTES + 1), "matrices file is over"),
 ], ids=["string-entry", "missing-N", "top-level-list", "nan-entry",
         "wrong-arity", "nested-N1", "nested-N3", "negative-N", "zero-N",
         "float-N", "string-N", "bool-N", "bool-entry", "huge-int-entry",
-        "deep-nesting"])
+        "deep-nesting", "over-size-cap"])
 def test_mc_malformed_matrices_exit_2(capsys, tmp_path, dim, text, message):
     path = tmp_path / "src.json"
     path.write_text(text)

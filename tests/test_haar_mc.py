@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import sys
 import threading
@@ -248,6 +249,43 @@ def test_chunked_batch_is_one_draw(group, dim):
     assert (_matrices(spec, 13, 4, size) == one).all()
 
 
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [3, 8, 32])
+def test_chunk_size_is_not_a_sampling_parameter(monkeypatch, group, dim):
+    # the chunk bounds a worker's memory only: the samples and both
+    # estimators' results are the same, bit for bit, at any chunk size
+    spec = GroupSpec(group, dim)
+    src = random_source_matrices(dim, 6)
+    samples = _batch_size(dim) + 37
+    runs = []
+    for entries in (2 ** 10, 2 ** 15, 2 ** 17):
+        monkeypatch.setattr(haar_mc, "_CHUNK_ENTRIES", entries)
+        runs.append((
+            _matrices(spec, 6, 1, 37),
+            _fresh(lambda: estimate_trace_moment(2, 1, src, spec, samples, 6)),
+            estimate_monomial([1, 2], [2, 1], [1], [dim], spec, samples, 6)))
+    for u, trace, monomial in runs[1:]:
+        assert (u == runs[0][0]).all()
+        assert trace == runs[0][1] and monomial == runs[0][2]
+
+
+def test_no_lone_sample_in_a_chunk_where_two_fit(monkeypatch):
+    # at N = 128 numpy's einsum sums one lone matrix in another order than
+    # a stack, so a lone sample would change tr JU-dagger in its last bits.
+    # 101 samples end in a batch of 5, which 2**15 entries would cut 1, 2, 2
+    spec = GroupSpec(UNITARY, 128)
+    src = random_source_matrices(128, 2)
+    sizes = _keyed_batch(spec, 2, 3, 5, lambda u: [len(u)])
+    assert sizes.min() >= 2 and sizes.max() * 128 ** 2 <= \
+        haar_mc._CHUNK_ENTRIES + 128 ** 2
+    runs = []
+    for entries in (2 ** 15, 2 ** 17):
+        monkeypatch.setattr(haar_mc, "_CHUNK_ENTRIES", entries)
+        runs.append(_fresh(lambda: estimate_trace_moment(1, 1, src, spec,
+                                                         101, 2)))
+    assert runs[0] == runs[1]
+
+
 def test_batch_size_bounds_the_working_set():
     assert [_batch_size(n) for n in (1, 3, 8, 16, 32, 128, 1024)] == \
         [8192, 8192, 8192, 2048, 512, 32, 1]
@@ -419,17 +457,54 @@ def test_pool_results_come_in_order_with_bounded_lookahead():
     assert seen == [(i,) for i in range(1000)]
 
 
-def test_large_dimension_memory_is_bounded():
-    src = random_source_matrices(128, 0)
+def _traced_peak(call):
+    """(call(), the peak of memory traced while it ran) with the kept trace
+    columns cleared first."""
     tracemalloc.start()
     try:
-        est = estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 128),
-                                    100, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return _fresh(call), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_large_dimension_memory_is_bounded(monkeypatch):
+    # each worker holds its own chunk, so the bound is for two workers
+    monkeypatch.setattr(haar_mc, "_CORES", 2)
+    src = random_source_matrices(128, 0)
+    est, peak = _traced_peak(lambda: estimate_trace_moment(
+        1, 1, src, GroupSpec(UNITARY, 128), 100, 0))
     assert est.samples == 100
-    assert peak < 100 * 2 ** 20
+    assert peak < 8 * 2 ** 20
+
+
+def test_small_cli_call_memory_is_bounded():
+    # the largest sampling call of the cli-small benchmark workload: two
+    # batches of 512 SU(32) samples on at most two workers
+    src = random_source_matrices(32, 11)
+    est, peak = _traced_peak(lambda: estimate_trace_moment(
+        1, 1, src, GroupSpec(SPECIAL_UNITARY, 32), 1000, 11))
+    assert est.samples == 1000
+    assert peak < 6 * 2 ** 20
+
+
+def test_matrices_file_is_bounded_before_it_is_parsed(monkeypatch, tmp_path):
+    cap = haar_mc._MAX_MATRICES_BYTES
+    # a file at the sampling cap, N = 128, fits even with wide indentation
+    assert len(json.dumps(random_source_matrices(128, 0).as_json_dict(),
+                          indent=4)) < cap
+    text = json.dumps(random_source_matrices(2, 0).as_json_dict())
+    path = tmp_path / "src.json"
+    path.write_text(text.ljust(cap))
+    assert SourceMatrices.from_json_file(path).dim == 2
+
+    def parse(*args, **kwargs):
+        raise AssertionError("a file over the cap was parsed")
+
+    path.write_text(text.ljust(cap + 1))
+    monkeypatch.setattr(json, "load", parse)
+    monkeypatch.setattr(json, "loads", parse)
+    with pytest.raises(ValueError, match=f"matrices file is over {cap} bytes"):
+        SourceMatrices.from_json_file(path)
 
 
 def test_left_invariance():
