@@ -1,6 +1,7 @@
 """Haar sampler quality, estimator correctness, and determinism contracts."""
 
 import ast
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -349,9 +350,16 @@ def _kept_values() -> int:
     return sum(traces.size for traces in haar_mc._kept[1].values())
 
 
-@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
-def test_kept_columns_give_the_fresh_estimate(monkeypatch, group, dim):
+@pytest.mark.parametrize("group, dim, moments", [
+    *(pytest.param(group, dim, ((2, 1), (0, 3), (2, 2)), id=f"{dim}-{group}")
+      for dim in (1, 2, 3, 8, 16) for group in (UNITARY, SPECIAL_UNITARY)),
+    # every exponent the kept path takes apart, 0 and 1 among them
+    pytest.param(SPECIAL_UNITARY, 3, [(p, n) for p in range(6)
+                                      for n in range(6)],
+                 id="3-special_unitary-every-moment"),
+])
+def test_kept_columns_give_the_fresh_estimate(monkeypatch, group, dim,
+                                              moments):
     spec = GroupSpec(group, dim)
     src = random_source_matrices(dim, 5)
     samples = 2 * _batch_size(dim) + 17
@@ -359,13 +367,84 @@ def test_kept_columns_give_the_fresh_estimate(monkeypatch, group, dim):
     with monkeypatch.context() as patch:    # every batch is kept: none drawn
         patch.setattr(haar_mc, "_keyed_batch", None)
         kept = [estimate_trace_moment(p, n, src, spec, samples, 3)
-                for p, n in ((2, 1), (0, 3), (2, 2))]
+                for p, n in moments]
     assert kept == [
         _fresh(lambda: estimate_trace_moment(p, n, src, spec, samples, 3))
-        for p, n in ((2, 1), (0, 3), (2, 2))]
+        for p, n in moments]
 
 
-def test_kept_columns_are_bounded():
+def test_kept_call_starts_no_thread(monkeypatch):
+    # a call whose batches are all kept reduces them on the calling thread
+    monkeypatch.setattr(haar_mc, "_CORES", 2)
+    spec = GroupSpec(SPECIAL_UNITARY, 3)
+    src = random_source_matrices(3, 7)
+    samples = 4 * _batch_size(3) + 9
+    moments = ((1, 1), (2, 1), (0, 3), (4, 1))
+    # the last fresh call leaves every batch kept
+    fresh = [_fresh(lambda: estimate_trace_moment(p, n, src, spec, samples, 2))
+             for p, n in moments]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a call on kept columns started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    assert [estimate_trace_moment(p, n, src, spec, samples, 2)
+            for p, n in moments] == fresh
+
+
+def test_kept_columns_are_not_changed_in_place():
+    # each batch's values are reduced in place: they must never be a view
+    # of the kept columns, even where an exponent is 0 or 1
+    spec = GroupSpec(UNITARY, 3)
+    src = random_source_matrices(3, 8)
+    samples = 2 * _batch_size(3) + 11
+    moments = ((1, 0), (0, 1), (1, 1))
+
+    def call(p, n):
+        return estimate_trace_moment(p, n, src, spec, samples, 5)
+
+    runs = [_fresh(lambda: call(*moments[0]))]
+    kept = {index: traces.tobytes()
+            for index, traces in haar_mc._kept[1].items()}
+    runs += [call(*moments[0]), *(call(p, n) for p, n in moments[1:]
+                                  for _ in range(2))]
+    assert {index: traces.tobytes()
+            for index, traces in haar_mc._kept[1].items()} == kept
+    for (p, n), first, repeat in zip(moments, runs[::2], runs[1::2]):
+        assert first == repeat == _fresh(lambda: call(p, n)), (p, n)
+
+
+def test_power_shortcut_is_numpy_power():
+    special = [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 1e308,
+               -1e-310, 5e-324]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        np.array([complex(re, im) for re in special for im in special]),
+        rng.standard_normal(1000) + 1j * rng.standard_normal(1000)])
+    with np.errstate(all="ignore"):
+        for e in range(7):
+            assert (haar_mc._power(x, e).view(np.uint64)
+                    == (x ** e).view(np.uint64)).all(), e
+
+
+@pytest.mark.parametrize("dim", [91, 128])
+def test_lone_sample_gets_its_stacked_traces(dim):
+    # einsum sums a lone matrix of over 8192 entries in another order than
+    # a stack; a batch of one sample must still give that sample's traces
+    spec = GroupSpec(UNITARY, dim)
+    src = random_source_matrices(dim, 2)
+
+    def columns(u):
+        return haar_mc._trace_columns(src, u)
+
+    one = _keyed_batch(spec, 2, 4, 1, columns)
+    three = _keyed_batch(spec, 2, 4, 3, columns)
+    assert one.shape == (1, 2)
+    for column in range(2):
+        assert one[0, column] == three[0, column], column
+
+
+def test_kept_columns_are_bounded(monkeypatch):
     spec = GroupSpec(SPECIAL_UNITARY, 3)
     src = random_source_matrices(3, 6)
     limit = haar_mc._BATCH_ENTRIES // (2 * _batch_size(3))
@@ -373,10 +452,14 @@ def test_kept_columns_are_bounded():
     samples = (limit + 2) * _batch_size(3) + 5    # 35 batches
     _fresh(lambda: estimate_trace_moment(1, 1, src, spec, samples, 8))
     assert sorted(haar_mc._kept[1]) == list(range(limit))
-    kept = estimate_trace_moment(2, 1, src, spec, samples, 8)
+    # 32 batches are reduced on the calling thread, 3 drawn on the pool
+    kept = []
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(haar_mc, "_CORES", cores)
+        kept.append(estimate_trace_moment(2, 1, src, spec, samples, 8))
     assert _kept_values() == haar_mc._BATCH_ENTRIES == 2 ** 19
-    assert kept == _fresh(
-        lambda: estimate_trace_moment(2, 1, src, spec, samples, 8))
+    assert kept == 3 * [_fresh(
+        lambda: estimate_trace_moment(2, 1, src, spec, samples, 8))]
 
 
 def test_kept_columns_follow_every_input():
