@@ -18,7 +18,7 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -441,6 +441,21 @@ def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
 # system, so each update divides exactly by the previous pivot, and the last
 # pivot is the determinant of the k pivot rows.  Any nonzero pivot is valid;
 # the one of least degree keeps those minors, and so the work, small.
+#
+# The elimination runs on plain integers (Kronecker substitution, von zur
+# Gathen & Gerhard, Modern Computer Algebra, 8.4): each cleared entry p is
+# packed as p(2^bits).  p -> p(2^bits) is a ring map Z[N] -> Z, so every
+# division that is exact in Z[N] is exact on the packed integers, and the
+# products p*a - h*t need no bound.  Every value that is read back (zero
+# tests, pivot degrees, the last pivot, the Cramer numerators) is a minor of
+# the cleared [A | b] with at most one b column.  A minor of A alone has
+# 1-norm at most the product of its rows' 1-norms; one with the b column,
+# expanded along it, at most the b column's 1-norm times a product of at
+# most k row norms.  So its coefficients are at most bound = (product of the
+# k largest A-row 1-norms, zero rows skipped) * (sum of the b entries'
+# 1-norms, or 1 when b is zero).  With bits = bound.bit_length() + 2 the
+# map is injective on those values: p is read back from its balanced
+# base-2^bits digits, and its degree is abs(p(2^bits)).bit_length() // bits.
 
 
 def _lcm_den(values: Sequence[RatFuncN | PolyN | Scalar]) -> PolyN:
@@ -462,6 +477,25 @@ def _as_polys(values: Sequence[RatFuncN | PolyN | Scalar],
             else _as_poly(v) * scale for v in values]
 
 
+def _unpack(v: int, bits: int) -> PolyN:
+    """The integer polynomial p with p(2^bits) = v whose coefficients are
+    the balanced base-2^bits digits of v, each in [-2^(bits-1), 2^(bits-1))."""
+    half, base = 1 << (bits - 1), 1 << bits
+    out = []
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        out.append(d)
+        v = (v - d) >> bits
+    return PolyN(out)
+
+
+def _norm(polys: Iterable[PolyN]) -> int:
+    """The sum of the absolute values of all coefficients of polys."""
+    return sum(abs(c) for p in polys for c in p.coeffs)
+
+
 def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
                         rhs: Sequence[RatFuncN | PolyN | Scalar],
                         ) -> list[RatFuncN]:
@@ -471,10 +505,14 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     column rank and every redundant row must be satisfied identically, else
     RankDeficientError / InconsistentSystemError is raised.
 
-    The rows are cleared to Z[N] and eliminated fraction-free (see the
-    section comment), so every result is exact by construction.  A column
-    with no nonzero pivot means rank below k over Q(N); a nonzero right-hand
-    side left in a redundant row means the system is inconsistent.
+    The rows are cleared to Z[N] and eliminated fraction-free on their
+    values at N = 2^bits (see the section comment), so every result is exact
+    by construction.  Every value read back is a minor of the cleared
+    [A | b] with at most one b column, so its coefficients are bounded by
+    the product of the k largest A-row 1-norms times the 1-norm of b, and
+    bits is wide enough to read them back.  A column with no nonzero pivot
+    means rank below k over Q(N); a nonzero right-hand side left in a
+    redundant row means the system is inconsistent.
     """
     m = len(rows)
     if m == 0 or len(rhs) != m:
@@ -485,23 +523,28 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     if m < k:
         raise RankDeficientError(f"{m} rows cannot determine {k} unknowns")
 
-    mat = []
+    cleared_rows = []
     col = []
     for row, b in zip(rows, rhs):
         # s is made integral with the row, so b * s stays on the row's scale
         s = _lcm_den(row)
         *cleared, s = _primitive([*_as_polys(row, s), s])
-        mat.append(cleared)
+        cleared_rows.append(cleared)
         col.append(b * s)
     scale = _lcm_den(col)
     *col, scale = _primitive([*_as_polys(col, scale), scale])
-    for row, b in zip(mat, col):
-        row.append(b)
 
-    prev = _POLY_ONE
+    norms = sorted(_norm(row) for row in cleared_rows)
+    bound = prod(v for v in norms[-k:] if v) * (_norm(col) or 1)
+    bits = bound.bit_length() + 2
+    point = 1 << bits
+    mat = [[p(point) for p in row] + [b(point)]
+           for row, b in zip(cleared_rows, col)]
+
+    prev = 1
     for c in range(k):
         piv = min((r for r in range(c, m) if mat[r][c]), default=None,
-                  key=lambda r: mat[r][c].degree)
+                  key=lambda r: abs(mat[r][c]).bit_length() // bits)
         if piv is None:
             raise RankDeficientError(
                 f"column {c} has no nonzero pivot: rank below {k} over Q(N)")
@@ -512,21 +555,22 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
             row = mat[r]
             h = row[c]
             if h:
-                row[c + 1:] = [(p * a - h * t).exact_div(prev)
+                row[c + 1:] = [(p * a - h * t) // prev
                                for a, t in zip(row[c + 1:], top[c + 1:])]
             else:
-                row[c + 1:] = [(p * a).exact_div(prev) for a in row[c + 1:]]
+                row[c + 1:] = [p * a // prev for a in row[c + 1:]]
         prev = p
     if any(mat[r][k] for r in range(k, m)):
         raise InconsistentSystemError(
             "overdetermined system is inconsistent (a redundant row is not "
             "satisfied identically)")
     # back substitution for the Cramer numerators x_j * det, all in Z[N]
-    nums = [_POLY_ZERO] * k
+    nums = [0] * k
     for r in range(k - 1, -1, -1):
         row = mat[r]
         acc = prev * row[k]
         for c in range(r + 1, k):
-            acc = acc - row[c] * nums[c]
-        nums[r] = acc.exact_div(row[r])
-    return [RatFuncN(p, prev * scale) for p in nums]
+            acc -= row[c] * nums[c]
+        nums[r] = acc // row[r]
+    den = _unpack(prev, bits) * scale
+    return [RatFuncN(_unpack(v, bits), den) for v in nums]

@@ -66,18 +66,20 @@ def shifted_free_energy_closed(order: int) -> TraceSeries:
     """Determinant-sector limit free energy from the closed formula: the
     grade-n coefficient of the monomial for alpha (with c parts) is
     (-1)^(n-c) (n-1)!/(n-c+1)! times the product over parts q of
-    Cat(q-1)^(mult) / mult!."""
+    Cat(q-1)^(mult) / mult!.  Each term is one int numerator over one int
+    denominator, reduced once."""
     if order < 1:
         raise ValueError("order must be positive")
     terms: dict[tuple[int, Partition], Fraction] = {}
     for n in range(1, order + 1):
         for alpha in enumerate_partitions(n):
             c = alpha.num_parts
-            value = Fraction((-1) ** (n - c) * factorial(n - 1),
-                             factorial(n - c + 1))
+            num = (-1) ** (n - c) * factorial(n - 1)
+            den = factorial(n - c + 1)
             for q, m in alpha.items():
-                value *= Fraction(catalan(q - 1) ** m, factorial(m))
-            terms[(n, alpha)] = value
+                num *= catalan(q - 1) ** m
+                den *= factorial(m)
+            terms[(n, alpha)] = Fraction(num, den)
     return TraceSeries(order, terms)
 
 
@@ -211,15 +213,18 @@ def strong_coupling_coeff(alpha: Partition) -> Fraction:
     """Strong-coupling series coefficient of the balanced-sector free energy
     for one trace monomial: with n the weight and c the part count,
     (-1)^n (2n-3+c)!/(2n)! times the product over parts q of
-    (-binom(2q, q))^(mult) / mult!."""
+    (-binom(2q, q))^(mult) / mult!, reduced once from one int numerator
+    over one int denominator."""
     n = alpha.weight
     if n < 1:
         raise ValueError("partition must be nonempty")
     c = alpha.num_parts
-    value = Fraction((-1) ** n * factorial(2 * n - 3 + c), factorial(2 * n))
+    num = (-1) ** n * factorial(2 * n - 3 + c)
+    den = factorial(2 * n)
     for q, m in alpha.items():
-        value *= Fraction((-comb(2 * q, q)) ** m, factorial(m))
-    return value
+        num *= (-comb(2 * q, q)) ** m
+        den *= factorial(m)
+    return Fraction(num, den)
 
 
 def strong_coupling_series(order: int) -> TraceSeries:

@@ -516,6 +516,17 @@ def test_solver_skips_rank_drops_and_poles():
 _POLE_FACTORS = [N, N - 1, N - 2, N + 1, N + 3, N**2 + 1]
 
 
+def _times(rows, x):
+    """A x, entry by entry, over Q(N)."""
+    out = []
+    for row in rows:
+        acc = RatFuncN(0)
+        for a, t in zip(row, x):
+            acc = acc + a * t
+        out.append(acc)
+    return out
+
+
 @st.composite
 def _known_system(draw):
     """A random full-rank overdetermined system with a known solution whose
@@ -556,13 +567,7 @@ def _known_system(draw):
             rows[i] = [RatFuncN(a, div) for a in rows[i]]
     order = draw(st.permutations(range(len(rows))))
     rows = [rows[i] for i in order]
-    rhs = []
-    for row in rows:
-        acc = RatFuncN(0)
-        for a, t in zip(row, target):
-            acc = acc + a * t
-        rhs.append(acc)
-    return rows, rhs, target
+    return rows, _times(rows, target), target
 
 
 @settings(max_examples=60, deadline=None,
@@ -571,3 +576,76 @@ def _known_system(draw):
 def test_solver_property_recovers_known_solution(system):
     rows, rhs, target = system
     assert solve_linear_system(rows, rhs) == target
+
+
+_WIDE = st.integers(-2**80, 2**80)
+
+
+@st.composite
+def _wide_system(draw):
+    """A full-rank system at the packed solver's width: signed coefficients
+    up to 2^80, entries of degree up to 6, rows of zeros among the rows, and
+    a known solution with large coefficients (all zero at times), so the
+    right-hand sides are large-coefficient rational functions."""
+    k = draw(st.integers(1, 3))
+
+    def poly(max_deg):
+        return PolyN(draw(st.lists(_WIDE, min_size=1, max_size=max_deg + 1)))
+
+    if draw(st.booleans()):
+        target = [RatFuncN(0)] * k
+    else:
+        target = [RatFuncN(poly(3), PolyN([draw(st.integers(1, 2**80))])
+                           * draw(st.sampled_from(_POLE_FACTORS)))
+                  for _ in range(k)]
+    rows = []
+    for i in range(k):
+        diag = poly(6)
+        assume(not diag.is_zero)
+        rows.append([poly(6) if j > i else (diag if j == i else PolyN())
+                     for j in range(k)])
+    rows += [[poly(6) for _ in range(k)]
+             for _ in range(draw(st.integers(0, 2)))]
+    rows += [[PolyN()] * k for _ in range(draw(st.integers(0, 2)))]
+    for i in range(len(rows)):
+        if draw(st.booleans()):
+            div = draw(st.sampled_from(_POLE_FACTORS))
+            rows[i] = [RatFuncN(a, div) for a in rows[i]]
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    return rows, _times(rows, target), target
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(_wide_system(), st.data())
+def test_solver_property_wide_coefficients(system, data):
+    rows, rhs, target = system
+    assert solve_linear_system(rows, rhs) == target
+    k = len(target)
+    # a zero row whose right-hand side is not zero cannot be satisfied
+    bump = RatFuncN(PolyN([data.draw(_WIDE.filter(bool))]), N + 2)
+    with pytest.raises(InconsistentSystemError):
+        solve_linear_system(rows + [[0] * k], rhs + [bump])
+    # the last column a multiple of the first: rank below k
+    if k > 1:
+        scale = PolyN(data.draw(st.lists(_WIDE, min_size=1, max_size=3)))
+        low = [row[:-1] + [row[0] * scale] for row in rows]
+        with pytest.raises(RankDeficientError):
+            solve_linear_system(low, _times(low, target))
+
+
+def test_solver_reads_back_a_minor_at_the_bound():
+    # diagonal monomials +-M N^e, a redundant zero row and a right-hand side
+    # of 1-norm 1: the determinant -M^2 N^3 has the coefficient M^2, which is
+    # the product of the two row norms times the norm of b, so the packed
+    # width has no slack to spare
+    for big in (2**80, 2**80 - 1, 3**51):
+        rows = [[big * N, 0], [0, -big * N**2], [0, 0]]
+        (x, y) = solve_linear_system(rows, [0, N**3, 0])
+        assert (x, y) == (RatFuncN(0), RatFuncN(-N, big))
+        # a right-hand side of zero still reads the pivots back exactly
+        assert solve_linear_system([[N - 4]], [0]) == [RatFuncN(0)]
+        (x, y) = solve_linear_system(rows, [big * N**2, N**3, 0])
+        assert (x, y) == (RatFuncN(N), RatFuncN(-N, big))

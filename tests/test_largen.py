@@ -1,7 +1,8 @@
 """Limit series for both sectors: closed forms, fixed point, finite-N limit."""
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -219,6 +220,35 @@ def test_strong_coupling_coeffs():
     assert strong_coupling_coeff(part("1^4")) == 6
     with pytest.raises(ValueError):
         strong_coupling_coeff(Partition())
+
+
+def test_closed_forms_equal_their_formulas_through_order_14():
+    # each docstring formula, evaluated factor by factor in Fractions from
+    # the parts alone; ww has no second route, so this and the grade-4
+    # literals are its witnesses
+    def closed(parts):
+        n, c = sum(parts), len(parts)
+        value = Fraction((-1) ** (n - c)) * Fraction(factorial(n - 1),
+                                                     factorial(n - c + 1))
+        for q, m in Counter(parts).items():
+            value *= Fraction(catalan(q - 1)) ** m / factorial(m)
+        return value
+
+    def strong(parts):
+        n, c = sum(parts), len(parts)
+        value = Fraction((-1) ** n) * Fraction(factorial(2 * n - 3 + c),
+                                               factorial(2 * n))
+        for q, m in Counter(parts).items():
+            value *= Fraction(-comb(2 * q, q)) ** m / factorial(m)
+        return value
+
+    wd, ww = shifted_free_energy_closed(14), strong_coupling_series(14)
+    for n in range(1, 15):
+        for alpha in enumerate_partitions(n):
+            assert wd.terms[(n, alpha)] == closed(alpha.parts), alpha
+            assert ww.terms[(n, alpha)] == strong(alpha.parts), alpha
+    assert len(wd.terms) == len(ww.terms) == sum(
+        len(enumerate_partitions(n)) for n in range(1, 15))
 
 
 def test_strong_coupling_series_displayed_orders():
