@@ -381,7 +381,7 @@ def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:
     dim = args.N
     if dim < 1:
         raise ValueError("--N must be >= 1")
-    # only the U-dagger count feeds the (n!)^2 pair sum; more U factors are
+    # only the U-dagger count feeds the |T| |S| pair sum; more U factors are
     # cheap (epsilon is O(N log N)), and N <= 128 keeps 1/N! printable
     u_cap = max(MAX_TENSOR_WEIGHT, min(dim, _MAX_SAMPLED_N))
     if len(k) > MAX_TENSOR_WEIGHT or len(i) > u_cap:

@@ -18,6 +18,7 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
@@ -150,12 +151,15 @@ class PolyN:
         return _scalar(acc)
 
     def shifted(self, delta: int = 1) -> PolyN:
-        """The polynomial with N replaced by N + delta (Horner in N+delta)."""
-        arg = PolyN([delta, 1])
-        acc = PolyN()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + PolyN([c])
-        return acc
+        """The polynomial with N replaced by N + delta: a Taylor shift in
+        place on the coefficient list by repeated synthetic division by
+        N - delta, d(d+1)/2 multiply-adds for degree d."""
+        cs = list(self.coeffs)
+        top = len(cs) - 1
+        for i in range(top):
+            for k in range(top - 1, i - 1, -1):
+                cs[k] += delta * cs[k + 1]
+        return PolyN(cs)
 
     # -- division / gcd ---------------------------------------------------
 
@@ -428,6 +432,46 @@ def _cancel(num: PolyN, den: PolyN) -> tuple[PolyN, PolyN]:
     if g.degree <= 0:
         return num, den
     return num.exact_div(g), den.exact_div(g)
+
+
+# -- denominators of known linear factors (the hook-content formula's) ------
+
+def _linear_product(exponents: dict[int, int], shift: int = 0) -> list[int]:
+    """The integer coefficients of prod over k of (N + shift + k)^exponents[k],
+    each factor multiplied into the list in place."""
+    out = [1]
+    for k, e in exponents.items():
+        root = shift + k
+        for _ in range(e):
+            out.append(0)
+            for d in range(len(out) - 1, 0, -1):
+                out[d] = out[d - 1] + root * out[d]
+            out[0] *= root
+    return out
+
+
+def _over_linear_factors(num: Sequence[int], scale: int,
+                         exponents: dict[int, int],
+                         shift: int = 0) -> RatFuncN:
+    """num / (scale * prod over k of (N + shift + k)^exponents[k]) in
+    canonical form, for integer num and a nonzero integer scale, with no
+    polynomial gcd: each factor is divided out of num by synthetic division
+    for as long as N = -(shift + k) is a root of it, and ``_canonical``
+    fixes what is left.  Equal to ``RatFuncN(num, den)``."""
+    num = list(PolyN(num).coeffs)
+    left = {}
+    for k, e in exponents.items():
+        root = -(shift + k)
+        while e and num:
+            # Horner's partial values: the quotient by N - root, then num(root)
+            *quotient, rest = accumulate(reversed(num),
+                                         lambda acc, c: acc * root + c)
+            if rest:
+                break
+            num, e = quotient[::-1], e - 1
+        left[k] = e
+    den = PolyN([scale * c for c in _linear_product(left, shift)])
+    return RatFuncN._coprime(PolyN(num), den)
 
 
 # -- linear solving ----------------------------------------------------------

@@ -176,10 +176,21 @@ def character(lam: Partition, alpha: Partition) -> int:
     if lam.weight != alpha.weight:
         raise ValueError(
             f"weight mismatch: diagram {lam.weight}, class {alpha.weight}")
-    rows = lam.parts
-    length = len(rows)
-    betas = tuple(sorted(rows[i] + (length - 1 - i) for i in range(length)))
-    return _strip_sum(betas, alpha.parts)
+    return _strip_sum(_betas(lam), alpha.parts)
+
+
+def _betas(lam: Partition) -> tuple[int, ...]:
+    """lam's first-column hook lengths, ascending."""
+    return tuple(r + i for i, r in enumerate(reversed(lam.parts)))
+
+
+def _character_matrix(n: int) -> list[list[int]]:
+    """chi^lam(alpha) for every diagram lam (rows) and class alpha (columns)
+    of weight n, both in enumeration order, from the same recursion as
+    ``character``."""
+    classes = [alpha.parts for alpha in _partitions(n)]
+    return [[_strip_sum(betas, parts) for parts in classes]
+            for betas in map(_betas, _partitions(n))]
 
 
 @lru_cache(maxsize=None)

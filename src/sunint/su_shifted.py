@@ -16,14 +16,14 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from .exactmath import N, RatFuncN
+from .exactmath import (N, PolyN, RatFuncN, _linear_product,
+                        _over_linear_factors)
 from .partitions import Partition, class_size, enumerate_partitions
 from .weingarten import (
     MAX_WEIGHT,
     CoeffTable,
     _class_sums,
     _cycle_type,
-    _linear_product,
     recursion_step,
     weingarten_table_character,
 )
@@ -57,14 +57,16 @@ def shifted_table(n: int) -> CoeffTable:
 
     Each entry is built once from the balanced character sum's numerator at
     N+1 over its common denominator n! D(N+1), in which (N+1)...(N+n)
-    cancels one power of each factor N+1+k with 0 <= k < n."""
+    cancels one power of each factor N+1+k with 0 <= k < n.  The rest of
+    that denominator is reduced at its known roots, with no gcd."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    exponents, _, numerators = _class_sums(n)
-    den = factorial(n) * _linear_product(
-        {k: m - (k >= 0) for k, m in exponents.items()}, shift=1)
-    entries = {a: RatFuncN(class_size(a) * numerators[a].shifted(1), den)
-               for a in enumerate_partitions(n)}
+    exponents, scale, sums = _class_sums(n)
+    exponents = {k: m - (k >= 0) for k, m in exponents.items()}
+    entries = {a: _over_linear_factors(
+                   (class_size(a) * PolyN(num).shifted(1)).coeffs,
+                   scale, exponents, shift=1)
+               for a, num in sums.items()}
     return CoeffTable(n=n, family="su-shifted", entries=entries)
 
 
@@ -103,8 +105,9 @@ def check_shift_identity(n: int) -> list[dict]:
     balanced = weingarten_table_character(n)
     shifted = shifted_table_recursive(n)
     # N^2 (N^2-1) ... (N^2-(n-1)^2) and (N+1) N (N-1) ... (N-(n-2))
-    even_product = _linear_product({k: 1 + (k == 0) for k in range(1 - n, n)})
-    down_product = _linear_product({1 - m: 1 for m in range(n)})
+    even_product = PolyN(
+        _linear_product({k: 1 + (k == 0) for k in range(1 - n, n)}))
+    down_product = PolyN(_linear_product({1 - m: 1 for m in range(n)}))
     report = []
     for alpha in enumerate_partitions(n):
         stripped = balanced[alpha] * even_product

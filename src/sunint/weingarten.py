@@ -16,25 +16,27 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Sequence
 
 from .exactmath import (
     N,
     PolyN,
     RatFuncN,
+    _linear_product,
+    _over_linear_factors,
     solve_linear_system,
 )
 from .partitions import (
     Partition,
+    _character_matrix,
     class_size,
-    character,
     dim_sn,
     enumerate_partitions,
 )
 
 MAX_WEIGHT = 8          # table sizes stay desk-scale; p(8) = 22 unknowns
-MAX_TENSOR_WEIGHT = 6   # the (n!)^2 pair sum is capped here
+MAX_TENSOR_WEIGHT = 6   # the |T| |S| pair sum is capped here
 
 
 class SectorError(ValueError):
@@ -74,15 +76,9 @@ class CoeffTable:
         }
 
 
-def _linear_product(exponents: dict[int, int], shift: int = 0) -> PolyN:
-    """prod over k of (N + shift + k)^exponents[k]."""
-    return prod(((N + (shift + k)) ** e for k, e in exponents.items()),
-                start=PolyN([1]))
-
-
 @lru_cache(maxsize=None)
-def _class_sums(n: int) -> tuple[dict[int, int], PolyN,
-                                 dict[Partition, PolyN]]:
+def _class_sums(n: int) -> tuple[dict[int, int], int,
+                                 dict[Partition, list[int]]]:
     """The character sum of weight n over one common denominator.
 
     By the hook-content formula dim_gl(lam) = prod over cells of (N + c) /
@@ -94,8 +90,9 @@ def _class_sums(n: int) -> tuple[dict[int, int], PolyN,
         n! D(N) C(alpha) = sum_lam dim_sn(lam) chi^lam(alpha)
                            * prod_k (N + k)^{m_k - c_lam(k)},
 
-    an integer polynomial.  Returns the exponents m_k, the denominator
-    n! D(N) and that numerator for every class alpha of weight n.
+    an integer polynomial.  Returns the exponents m_k, n! and that
+    numerator's integer coefficients for every class alpha of weight n,
+    built on int lists with the weight's characters taken from one matrix.
     """
     diagrams = enumerate_partitions(n)
     contents = [Counter(j - i for i, r in enumerate(lam.parts)
@@ -104,19 +101,17 @@ def _class_sums(n: int) -> tuple[dict[int, int], PolyN,
     for counts in contents:
         for k, m in counts.items():
             exponents[k] = max(exponents.get(k, 0), m)
-    terms = [(lam, dim_sn(lam), _linear_product(
-                 {k: m - counts[k] for k, m in exponents.items()}).coeffs)
-             for lam, counts in zip(diagrams, contents)]
-    numerators = {}
-    for alpha in diagrams:
-        acc = [0] * len(terms[0][2])
-        for lam, dim, cofactor in terms:
-            weight = dim * character(lam, alpha)
-            if weight:
-                for i, c in enumerate(cofactor):
-                    acc[i] += weight * c
-        numerators[alpha] = PolyN(acc)
-    return exponents, factorial(n) * _linear_product(exponents), numerators
+    sums = [[0] * (sum(exponents.values()) - n + 1) for _ in diagrams]
+    for lam, counts, chi in zip(diagrams, contents, _character_matrix(n)):
+        dim = dim_sn(lam)
+        cofactor = _linear_product(
+            {k: m - counts[k] for k, m in exponents.items()})
+        for acc, x in zip(sums, chi):
+            if x:
+                weight = dim * x
+                for d, c in enumerate(cofactor):
+                    acc[d] += weight * c
+    return exponents, factorial(n), dict(zip(diagrams, sums))
 
 
 @lru_cache(maxsize=None)
@@ -126,20 +121,23 @@ def weingarten_class_coefficient(alpha: Partition) -> RatFuncN:
     dim(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam)).
 
     The sum is taken as one integer polynomial over the common denominator
-    n! D(N) of the whole weight (see ``_class_sums``), so each value is
-    reduced once."""
-    _, den, numerators = _class_sums(alpha.weight)
-    return RatFuncN(numerators[alpha], den)
+    n! D(N) of the whole weight (see ``_class_sums``), and is reduced by
+    dividing out the factors of D(N) at their roots."""
+    exponents, scale, sums = _class_sums(alpha.weight)
+    return _over_linear_factors(sums[alpha], scale, exponents)
 
 
+@lru_cache(maxsize=None)
 def weingarten_table_character(n: int) -> CoeffTable:
     """Coefficient table for the balanced sector via the character formula:
     entry(alpha) = class_size(alpha) * C(alpha), with one common-denominator
     character sum per weight and no solver or recursion."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    entries = {a: class_size(a) * weingarten_class_coefficient(a)
-               for a in enumerate_partitions(n)}
+    exponents, scale, sums = _class_sums(n)
+    entries = {a: _over_linear_factors([class_size(a) * c for c in num],
+                                       scale, exponents)
+               for a, num in sums.items()}
     return CoeffTable(n=n, family="weingarten", entries=entries)
 
 
@@ -228,6 +226,23 @@ def _cycle_type(sigma: Sequence[int]) -> Partition:
     return Partition.from_parts(parts)
 
 
+def _matchings(src: Sequence[int], dst: Sequence[int]) -> list[tuple]:
+    """Every tau with dst[tau[a]] == src[a] for all a, for src a
+    rearrangement of dst (a coset of the Young subgroup fixing dst): the
+    positions of each value in src go to its positions in dst in any order."""
+    order = sorted(range(len(src)), key=src.__getitem__)
+    blocks = itertools.groupby(sorted(range(len(dst)), key=dst.__getitem__),
+                               key=dst.__getitem__)
+    out = []
+    for images in itertools.product(*(itertools.permutations(block)
+                                      for _, block in blocks)):
+        tau = [0] * len(src)
+        for a, b in zip(order, itertools.chain(*images)):
+            tau[a] = b
+        out.append(tuple(tau))
+    return out
+
+
 def monomial_integral(i: Sequence[int], j: Sequence[int],
                       k: Sequence[int], l: Sequence[int],
                       dim: int) -> Fraction:
@@ -235,9 +250,10 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
     (k, l): the balanced product of n elements of U and n of U-dagger on a
     dim-dimensional unitary group.  Indices are 1-based.  The value is real.
 
-    Computed as the double sum over permutation pairs (tau, sigma) weighted by
-    the class function C evaluated at dim, with sigma grouped by conjugacy
-    class so C is evaluated once per class.
+    The sum of C(tau^-1 rho) at N = dim over tau in T = {i = l o tau} and
+    rho in S = {j = k o rho}, cosets of Young subgroups that are empty
+    unless i rearranges l and j rearranges k.  The products are counted
+    first, so C is evaluated once per cycle type that occurs.
     """
     n = len(i)
     if not (len(j) == len(k) == len(l) == n):
@@ -249,19 +265,15 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
             f"weight {n} not below dimension {dim}: outside validity domain")
     if any(not 1 <= x <= dim for x in (*i, *j, *k, *l)):
         raise ValueError(f"indices must be in 1..{dim}")
-    if n == 0:
-        return Fraction(1)
-
-    taus = [tau for tau in itertools.permutations(range(n))
-            if all(i[a] == l[tau[a]] for a in range(n))]
-    if not taus:
+    if sorted(i) != sorted(l) or sorted(j) != sorted(k):
         return Fraction(0)
-    class_values = {a: weingarten_class_coefficient(a).evaluate(dim)
-                    for a in enumerate_partitions(n)}
-    total = Fraction(0)
-    for sigma in itertools.permutations(range(n)):
-        matches = sum(1 for tau in taus
-                      if all(j[a] == k[tau[sigma[a]]] for a in range(n)))
-        if matches:
-            total += class_values[_cycle_type(sigma)] * matches
-    return total
+
+    # the taus' inverses are the matchings of l onto i
+    inverses = _matchings(l, i)
+    products = Counter(tuple(map(inv.__getitem__, rho))
+                       for rho in _matchings(j, k) for inv in inverses)
+    types = Counter()
+    for sigma, count in products.items():
+        types[_cycle_type(sigma)] += count
+    return sum((weingarten_class_coefficient(alpha).evaluate(dim) * count
+                for alpha, count in types.items()), Fraction(0))

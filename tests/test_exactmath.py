@@ -15,6 +15,8 @@ from sunint.exactmath import (
     PolyN,
     RankDeficientError,
     RatFuncN,
+    _linear_product,
+    _over_linear_factors,
     poly_gcd,
     solve_linear_system,
 )
@@ -403,6 +405,57 @@ def test_high_degree_common_factor_cancels():
     f = RatFuncN(p * q, p * r)
     assert f == RatFuncN(q, r) and str(f) == str(RatFuncN(q, r))
     assert f.num == 40 * N**3 - 60 * N + 12 and f.den == 105 * N**2 + 180
+
+
+def _horner_shift(p, delta):
+    """p(N + delta) by Horner's rule over PolyN products."""
+    acc = PolyN()
+    for c in reversed(p.coeffs):
+        acc = acc * (N + delta) + c
+    return acc
+
+
+@given(st.one_of(_poly, _gcd_poly), st.integers(-3, 3))
+@example(PolyN(), 2)
+@example(PolyN([Fraction(1, 3), 0, 0, Fraction(-5, 2), 7]), -3)
+def test_taylor_shift_matches_horner_composition(p, delta):
+    shifted = p.shifted(delta)
+    assert shifted == _horner_shift(p, delta)
+    assert [type(c) for c in shifted.coeffs] == \
+        [type(c) for c in _horner_shift(p, delta).coeffs]
+    assert shifted.shifted(-delta) == p
+
+
+@st.composite
+def _split_quotient(draw):
+    """A numerator q * prod (N + shift + k)^f_k and the exponents e_k >= 0 of
+    a denominator, where f is a random sub-multiset of e, so the numerator
+    shares some factors with the denominator, some more than once."""
+    exponents = draw(st.dictionaries(st.integers(-4, 4), st.integers(0, 3),
+                                     max_size=5))
+    shared = {k: draw(st.integers(0, e)) for k, e in exponents.items()}
+    q = draw(st.lists(st.integers(-9, 9), max_size=4).map(PolyN))
+    shift = draw(st.integers(0, 1))
+    scale = draw(st.integers(-30, 30).filter(bool))
+    num = q * PolyN(_linear_product(shared, shift))
+    return num, scale, exponents, shift
+
+
+@settings(deadline=None)
+@given(_split_quotient())
+@example((PolyN(), 6, {0: 2, 1: 1}, 0))
+@example((PolyN([-4]), 2, {-1: 3}, 1))
+@example(((N + 1) ** 2 * (N + 2) ** 3 * (N - 5), 24,
+          {0: 2, 1: 3, -2: 1}, 1))
+@example(((N - 3) ** 3 * (3 * N + 1), -12, {-3: 3, 2: 1}, 0))
+def test_over_linear_factors_matches_gcd_reduction(case):
+    num, scale, exponents, shift = case
+    den = PolyN(_linear_product(exponents, shift)) * scale
+    got = _over_linear_factors(num.coeffs, scale, exponents, shift)
+    want = RatFuncN(num, den)
+    assert got.num.coeffs == want.num.coeffs
+    assert got.den.coeffs == want.den.coeffs
+    assert str(got) == str(want)
 
 
 def _random_ratfunc(rng):

@@ -136,9 +136,6 @@ def test_finite_tables_limit_equals_closed_through_order_10():
 
 
 def test_finite_tables_route_runs_no_polynomial_gcd(monkeypatch):
-    for n in range(1, 7):
-        largen.shifted_table(n)     # the tables themselves reduce by gcds
-
     def refuse(a, b):
         raise AssertionError("polynomial gcd in the finite-N route")
 

@@ -1,5 +1,6 @@
 """Balanced-sector coefficient tables and the exact tensor integral."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sunint import exactmath, weingarten
 from sunint.exactmath import N, PolyN, RatFuncN
 from sunint.haar_mc import SourceMatrices, eval_ordinary
 from sunint.partitions import (
@@ -120,6 +122,18 @@ def test_character_route_equals_per_diagram_sum():
                     (n, alpha.to_string())
 
 
+def test_character_and_shift_routes_run_no_polynomial_gcd(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("polynomial gcd in the character route")
+
+    monkeypatch.setattr(exactmath, "_primitive_gcd", refuse)
+    for n in range(MAX_WEIGHT + 1):
+        weingarten_table_character.__wrapped__(n)
+        shifted_table.__wrapped__(n)
+        for alpha in enumerate_partitions(n):
+            weingarten_class_coefficient.__wrapped__(alpha)
+
+
 def test_sign_law():
     # overall sign is (-1)^(cycles + n), read off the leading numerator coeff
     for n in range(1, 6):
@@ -203,6 +217,66 @@ def test_monomial_integral_symmetries(case):
     assert monomial_integral(j, i, l, k, dim) == base
     # exchange of the two factor groups (i<->l, j<->k); values are real
     assert monomial_integral(l, k, j, i, dim) == base
+
+
+def _pair_sum_oracle(i, j, k, l, dim):
+    """The tensor integral as the full double sum over permutation pairs:
+    every tau with i = l o tau, against every sigma in S_n, weighted by
+    C(sigma) when j = k o tau o sigma."""
+    n = len(i)
+    taus = [tau for tau in itertools.permutations(range(n))
+            if all(i[a] == l[tau[a]] for a in range(n))]
+    total = Fraction(0)
+    for sigma in itertools.permutations(range(n)):
+        matches = sum(1 for tau in taus
+                      if all(j[a] == k[tau[sigma[a]]] for a in range(n)))
+        if matches:
+            alpha = weingarten._cycle_type(sigma)
+            total += matches * weingarten_class_coefficient(alpha).evaluate(
+                dim)
+    return total
+
+
+@st.composite
+def _repeated_indices(draw):
+    """Index tuples of weight n <= 5 over at most three values, so values
+    repeat; l and k are often rearrangements of i and j."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(n + 1, 7))
+    index = st.lists(st.integers(1, min(dim, 3)), min_size=n, max_size=n)
+    i, j = draw(index), draw(index)
+    l = draw(st.one_of(st.permutations(i), index))
+    k = draw(st.one_of(st.permutations(j), index))
+    return i, j, k, l, dim
+
+
+@settings(deadline=None, max_examples=60)
+@given(_repeated_indices())
+@example(([1, 1, 2, 2, 1], [2, 1, 1, 1, 2], [1, 2, 1, 2, 1],
+          [2, 1, 1, 1, 2], 6))
+@example(([1] * 5, [1] * 5, [1] * 5, [1] * 5, 6))
+def test_monomial_integral_matches_pair_sum_oracle(case):
+    i, j, k, l, dim = case
+    assert monomial_integral(i, j, k, l, dim) == _pair_sum_oracle(
+        i, j, k, l, dim)
+
+
+def test_monomial_integral_all_equal_indices_at_weight_six():
+    # E|U_11|^12 on U(7) is 6! 6! / (7 * 8 * ... * 12) = 1/924
+    assert monomial_integral([1] * 6, [1] * 6, [1] * 6, [1] * 6, 7) == \
+        Fraction(1, 924)
+
+
+def test_monomial_integral_unmatched_indices_skip_enumeration(monkeypatch):
+    def enumerate_anyway(src, dst):
+        raise AssertionError("enumerated a coset of unmatched indices")
+
+    monkeypatch.setattr(weingarten, "_matchings", enumerate_anyway)
+    # i is no rearrangement of l, then j none of k
+    assert monomial_integral([1, 2, 2], [1, 2, 3], [3, 1, 2],
+                             [2, 1, 1], 4) == 0
+    assert monomial_integral([1, 2, 2], [1, 2, 3], [3, 1, 1],
+                             [2, 1, 2], 4) == 0
 
 
 def test_monomial_integral_guards():
