@@ -176,14 +176,14 @@ def _series_routes() -> dict:
 
 
 # Largest --order per route, so every call ends in bounded time.  On a
-# 2-vCPU box closed and ww take 8-10 s at order 38 (11 s at 39).  The fixed
-# point computes one new grade per pass and grows about 1.4x per order:
-# `largen wd --order 27 --compare` took 7.9-8.6 s against 9.8-10.5 s for
-# `largen wd --order 38` when the two alternated, and order 28 took 11.0 s,
-# so its cap, which --compare shares, is 27.  The finite-N route, tables
-# included, takes 0.06 s at order 8 and 0.7-1.1 s at order 12; its cap stays
-# at 4 on purpose, because a cap of 8 or more changes the output of
-# `largen wd --order 8 --compare`.
+# 2-vCPU box closed and ww take 4.8-5.5 s at order 38 (5.5-6.6 s at 39).
+# The fixed point computes one new grade per pass and grows about 1.5x per
+# order: `largen wd --order 27 --compare` took 6.1-6.3 s against 4.8-5.0 s
+# for `largen wd --order 38` when the two alternated, and order 28 took
+# 7.8-9.0 s, so its cap, which --compare shares, is 27.  The finite-N
+# route, tables included, takes 0.06 s at order 8 and 0.7-1.1 s at order
+# 12; its cap stays at 4 on purpose, because a cap of 8 or more changes
+# the output of `largen wd --order 8 --compare`.
 _ORDER_CAPS = {"closed": 38, "fixedpoint": 27, "finite-n": 4}
 
 
@@ -243,15 +243,15 @@ def _sector(group: str, p: int, n: int, dim: int) -> str:
     """Sector of an integral with p factors of U and n of U-dagger over
     U(dim) or SU(dim): the value is zero in "unbalanced" (U(dim), p != n)
     and "charge-mismatch" (SU(dim), p - n not a multiple of dim).  The
-    balanced (p = n) and shifted (p = n + dim) sectors are known exactly for
-    weight n < dim up to MAX_WEIGHT (tensor refuses n > MAX_TENSOR_WEIGHT
+    balanced (p = n) and shifted (p = n + dim) sectors are known exactly at
+    every weight n up to MAX_WEIGHT (tensor refuses n > MAX_TENSOR_WEIGHT
     first); above it they are "balanced-high-weight" and "outside-range",
     as is every other p - n."""
     if group == _UNITARY and p != n:
         return "unbalanced"
     if (p - n) % dim:
         return "charge-mismatch"
-    known = n < dim and n <= MAX_WEIGHT
+    known = n <= MAX_WEIGHT
     if p == n:
         return "balanced" if known else "balanced-high-weight"
     return "shifted" if p - n == dim and known else "outside-range"

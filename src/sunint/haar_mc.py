@@ -1,6 +1,6 @@
 """The numeric layer: Haar sampling on the unitary and special unitary
 groups with unbiased estimators and per-component error bars, and the
-source matrices J, K at which the exact tables are evaluated in floating
+source matrices J, K at which the exact sectors are evaluated in floating
 point for comparison.  It is the package's only module that uses numpy.
 
 Sampling is counter-based.  Samples come in batches of ``_batch_size(N)``
@@ -41,8 +41,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .su_shifted import shifted_table
-from .weingarten import SectorError, weingarten_table_character
+from .partitions import class_size
+from .weingarten import _class_function
 
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
@@ -111,8 +111,9 @@ class SourceMatrices:
     def __post_init__(self):
         j = np.asarray(self.J, dtype=complex)
         k = np.asarray(self.K, dtype=complex)
-        if j.shape != k.shape or j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError("J and K must be square matrices of equal size")
+        if j.shape != k.shape or j.ndim != 2 or not 0 < len(j) == j.shape[1]:
+            raise ValueError("J and K must be square matrices of equal size "
+                             "N >= 1")
         if not (np.isfinite(j).all() and np.isfinite(k).all()):
             raise ValueError("J and K must have finite entries")
         object.__setattr__(self, "J", j)
@@ -270,13 +271,9 @@ def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
                  values_of: Callable) -> np.ndarray:
     """values_of over the first count samples of batch index, drawn from the
     batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
-    entries; the chunks continue the stream, so they are one draw.  Where
-    two fit, no sample is alone in a chunk unless in its batch: einsum sums
-    a lone matrix of over 8192 entries in another order than a stack."""
+    entries; the chunks continue the stream, so they are one draw."""
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
     parts = min(count, -(-count * spec.N ** 2 // _CHUNK_ENTRIES))
-    if 2 * spec.N ** 2 <= _CHUNK_ENTRIES:
-        parts = min(parts, max(1, count // 2))
     return np.concatenate([values_of(_haar_batch(
         spec, (k + 1) * count // parts - k * count // parts, rng))
         for k in range(parts)])
@@ -501,40 +498,35 @@ def random_source_matrices(dim: int, seed: int) -> SourceMatrices:
     return SourceMatrices(draw(), draw())
 
 
-# -- exact tables at the source matrices --------------------------------------
+# -- exact values at the source matrices --------------------------------------
 
-def _trace_sum(build: Callable, n: int, src: SourceMatrices) -> complex:
-    """Sum over alpha of build(n)[alpha] at N = dim times t_alpha, with the
-    traces t_q = tr((JK)^q) computed once for the whole table.  The tables
-    hold for weight n < dim only; at n = 0 the sum is 1."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if n >= src.dim:
-        raise SectorError(
-            f"weight {n} not below dimension {src.dim}: outside validity domain")
-    if n == 0:
-        return complex(1)
+def _trace_sum(n: int, dim: int, scale: int, src: SourceMatrices) -> complex:
+    """Sum over classes alpha of weight n of scale * class_size(alpha) *
+    C(alpha) at N = dim, rounded to float once, times t_alpha, with the
+    traces t_q = tr((JK)^q) computed once for all classes."""
     t = src.trace_powers(n)
     total = complex(0)
-    for alpha, coeff in build(n).entries.items():
+    for alpha, c in _class_function(n, dim).items():    # refuses n < 0
         monomial = prod((t[q - 1] ** m for q, m in alpha.items()),
                         start=complex(1))
-        total += float(coeff.evaluate(src.dim)) * monomial
+        total += float(scale * class_size(alpha) * c) * monomial
     return total
 
 
 def eval_ordinary(n: int, src: SourceMatrices) -> complex:
-    """Numeric value of the balanced generating integral of weight n:
-    the Haar average of (tr KU)^n (tr J U-dagger)^n, computed as
-    n! * sum over alpha of entry(alpha) at N=dim times t_alpha."""
-    return _trace_sum(weingarten_table_character, n, src) * factorial(n)
+    """Numeric value of the balanced generating integral of weight n: the
+    Haar average of (tr KU)^n (tr J U-dagger)^n over U(dim) or SU(dim),
+    n! times the sum over alpha of class_size(alpha) C(alpha) t_alpha."""
+    return _trace_sum(n, src.dim, 1, src) * factorial(n)
 
 
 def eval_shifted(n: int, src: SourceMatrices) -> complex:
     """Numeric value of the determinant-sector generating integral: the Haar
     average over SU(dim) of (tr KU)^(dim+n) (tr J U-dagger)^n, equal to
-    det K times the coefficient-weighted sum of trace monomials t_alpha."""
-    total = _trace_sum(shifted_table, n, src)
+    det K times the sum over alpha of (dim+1)...(dim+n) class_size(alpha)
+    C(alpha) at N = dim+1 times t_alpha."""
+    dim = src.dim
+    total = _trace_sum(n, dim + 1, prod(range(dim + 1, dim + n + 1)), src)
     det_k = complex(np.linalg.det(src.K))
     # at n = 0 the sum is 1, and a product with 1 can flip a signed zero
     return det_k * total if n else det_k

@@ -184,10 +184,11 @@ def _betas(lam: Partition) -> tuple[int, ...]:
     return tuple(r + i for i, r in enumerate(reversed(lam.parts)))
 
 
+@lru_cache(maxsize=None)
 def _character_matrix(n: int) -> list[list[int]]:
     """chi^lam(alpha) for every diagram lam (rows) and class alpha (columns)
     of weight n, both in enumeration order, from the same recursion as
-    ``character``."""
+    ``character``; cached, so callers must not mutate it."""
     classes = [alpha.parts for alpha in _partitions(n)]
     return [[_strip_sum(betas, parts) for parts in classes]
             for betas in map(_betas, _partitions(n))]

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .exactmath import (
@@ -37,10 +38,6 @@ from .partitions import (
 
 MAX_WEIGHT = 8          # table sizes stay desk-scale; p(8) = 22 unknowns
 MAX_TENSOR_WEIGHT = 6   # the |T| |S| pair sum is capped here
-
-
-class SectorError(ValueError):
-    """Requested evaluation outside the validity domain (e.g. n >= N)."""
 
 
 @dataclass(frozen=True)
@@ -115,16 +112,23 @@ def _class_sums(n: int) -> tuple[dict[int, int], int,
 
 
 @lru_cache(maxsize=None)
-def weingarten_class_coefficient(alpha: Partition) -> RatFuncN:
-    """The class function C on S_n whose permutation-pair sum gives the
-    balanced-sector integral: sum over irreducibles lam of weight n of
-    dim(lam)^2 chi^lam(alpha) / (n!^2 dim_gl(lam)).
-
-    The sum is taken as one integer polynomial over the common denominator
-    n! D(N) of the whole weight (see ``_class_sums``), and is reduced by
-    dividing out the factors of D(N) at their roots."""
-    exponents, scale, sums = _class_sums(alpha.weight)
-    return _over_linear_factors(sums[alpha], scale, exponents)
+def _class_function(n: int, dim: int) -> dict[Partition, Fraction]:
+    """C(alpha) at the integer N = dim for each class alpha of weight n, in
+    enumeration order (Collins and Sniady, math-ph/0402073): the sum over the
+    lam with at most dim rows, the irreducibles of U(dim) (dim_gl vanishes
+    on the rest), of chi^lam(1^n) chi^lam(alpha) / (n! P(lam)), P(lam) the
+    product over cells of dim + content, in ints over the lcm of the P(lam).
+    It equals the table entry over class_size(alpha) where that has no pole."""
+    diagrams = enumerate_partitions(n)
+    kept = [(chi, prod(dim + j - i for i, r in enumerate(lam.parts)
+                       for j in range(r)))
+            for lam, chi in zip(diagrams, _character_matrix(n))
+            if lam.num_parts <= dim]
+    den = lcm(*(p for _, p in kept))
+    weights = [chi[0] * (den // p) for chi, p in kept]
+    columns = zip(*(chi for chi, _ in kept))
+    return {alpha: Fraction(sum(map(mul, weights, column)), factorial(n) * den)
+            for alpha, column in zip(diagrams, columns)}
 
 
 @lru_cache(maxsize=None)
@@ -248,23 +252,23 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
                       dim: int) -> Fraction:
     """Exact Haar average of U_{i1 j1} ... U_{in jn} * conj over index pairs
     (k, l): the balanced product of n elements of U and n of U-dagger on a
-    dim-dimensional unitary group.  Indices are 1-based.  The value is real.
+    dim-dimensional unitary group, at any weight n up to MAX_TENSOR_WEIGHT,
+    n >= dim included.  It is also the average over the special unitary
+    group, since the product is invariant under U -> exp(i theta) U.
+    Indices are 1-based.  The value is real.
 
     The sum of C(tau^-1 rho) at N = dim over tau in T = {i = l o tau} and
     rho in S = {j = k o rho}, cosets of Young subgroups that are empty
     unless i rearranges l and j rearranges k.  The products are counted
-    first, so C is evaluated once per cycle type that occurs.
+    first, so C is read once per cycle type that occurs.
     """
     n = len(i)
     if not (len(j) == len(k) == len(l) == n):
         raise ValueError("index lists must have equal length")
     if n > MAX_TENSOR_WEIGHT:
         raise ValueError(f"monomial weight {n} above cap {MAX_TENSOR_WEIGHT}")
-    if n >= dim:
-        raise SectorError(
-            f"weight {n} not below dimension {dim}: outside validity domain")
-    if any(not 1 <= x <= dim for x in (*i, *j, *k, *l)):
-        raise ValueError(f"indices must be in 1..{dim}")
+    if dim < 1 or any(not 1 <= x <= dim for x in (*i, *j, *k, *l)):
+        raise ValueError(f"need dim >= 1 and indices in 1..{dim}")
     if sorted(i) != sorted(l) or sorted(j) != sorted(k):
         return Fraction(0)
 
@@ -275,5 +279,6 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
     types = Counter()
     for sigma, count in products.items():
         types[_cycle_type(sigma)] += count
-    return sum((weingarten_class_coefficient(alpha).evaluate(dim) * count
-                for alpha, count in types.items()), Fraction(0))
+    values = _class_function(n, dim)
+    return sum((values[alpha] * count for alpha, count in types.items()),
+               Fraction(0))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -253,8 +253,10 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
      [0.09605459414849252, -0.18359445629574903]),
     ("unitary", 2, 2, 3, "balanced",
      [-0.042755854749760805, -0.03484492624799758]),
-    ("special-unitary", 3, 3, 3, "balanced-high-weight", None),
-    ("unitary", 3, 3, 3, "balanced-high-weight", None),
+    ("special-unitary", 3, 3, 3, "balanced",
+     [-0.0017171716096663556, -0.0325570453189751]),
+    ("unitary", 3, 3, 3, "balanced",
+     [-0.0017171716096663556, -0.0325570453189751]),
     ("special-unitary", 9, 9, 10, "balanced-high-weight", None),
     ("special-unitary", 3, 0, 3, "shifted",
      [-0.028863103971991672, 0.39375673173055853]),
@@ -264,7 +266,8 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
      [0.10360132297384726, -0.08918268414974188]),
     ("special-unitary", 6, 0, 3, "outside-range", None),
     ("special-unitary", 0, 3, 3, "outside-range", None),
-    ("special-unitary", 6, 3, 3, "outside-range", None),
+    ("special-unitary", 6, 3, 3, "shifted",
+     [0.01806947344597823, -0.04434262964733511]),
     ("special-unitary", 19, 9, 10, "outside-range", None),
 ])
 def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
@@ -375,12 +378,17 @@ def test_tensor_unbalanced_unitary_is_zero(capsys):
     assert payload["exact"] == "0"
 
 
-def test_tensor_balanced_high_weight_has_no_exact_value(capsys):
-    code, payload = run_json(capsys, "tensor", "--N", "2",
-                             "--u", "1:1,2:2", "--udagger", "1:1,2:2")
-    assert code == 0
-    assert payload["sector"] == "balanced-high-weight"
-    assert payload["exact"] is None
+def test_tensor_u11_moment_law(capsys):
+    # E |U_11|^(2n) = 1 / C(N + n - 1, n) at every weight, n >= N included
+    for dim in range(1, 5):
+        for n in range(1, cli.MAX_TENSOR_WEIGHT + 1):
+            pairs = ",".join(["1:1"] * n)
+            code, payload = run_json(capsys, "tensor", "--N", str(dim),
+                                     "--u", pairs, "--udagger", pairs,
+                                     "--group", "unitary")
+            assert code == 0
+            assert payload["sector"] == "balanced"
+            assert payload["exact"] == str(Fraction(1, comb(dim + n - 1, n)))
 
 
 @pytest.mark.parametrize("group, u, udagger, dim, sector, exact", [
@@ -390,9 +398,8 @@ def test_tensor_balanced_high_weight_has_no_exact_value(capsys):
     ("special-unitary", "", "", 2, "balanced", "1"),
     ("unitary", "", "", 1, "balanced", "1"),
     ("unitary", "1:2,2:1", "2:1,1:2", 3, "balanced", "1/8"),
-    ("special-unitary", "1:1,2:2", "1:1,2:2", 2, "balanced-high-weight",
-     None),
-    ("unitary", "1:1,2:2", "1:1,2:2", 2, "balanced-high-weight", None),
+    ("special-unitary", "1:1,2:2", "1:1,2:2", 2, "balanced", "1/3"),
+    ("unitary", "1:1,2:2", "1:1,2:2", 2, "balanced", "1/3"),
     ("special-unitary", "1:2,2:1", "", 2, "epsilon", "-1/2"),
     ("special-unitary", "1:1,2:2,3:3", "", 3, "epsilon", "1/6"),
     ("special-unitary", "1:1,2:2,1:1", "1:1", 2, "outside-range", None),
@@ -843,9 +850,9 @@ _EVERY_COMMAND = ["cli", "exactmath", "partitions", "weingarten"]
     (["tensor", "--N", "3", "--u", "1:1,2:2", "--udagger", "1:1,2:2"], []),
     (["tensor", "--N", "2", "--u", "1:1,2:2"], ["su_shifted"]),
     (["tensor", "--N", "2", "--u", "1:1", "--udagger", "1:1",
-      "--mc-samples", "200"], ["haar_mc", "su_shifted"]),
+      "--mc-samples", "200"], ["haar_mc"]),
     (["mc", "--p", "1", "--n", "1", "--N", "3", "--samples", "200"],
-     ["haar_mc", "su_shifted"]),
+     ["haar_mc"]),
     # reference reads its JSON through the sunint.data package
     (["verify", "--suite", "tables"], ["data", "reference", "su_shifted"]),
     (["verify", "--suite", "shift"], ["su_shifted"]),

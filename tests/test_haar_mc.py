@@ -273,18 +273,43 @@ def test_chunk_size_is_not_a_sampling_parameter(monkeypatch, group, dim):
 def test_no_lone_sample_in_a_chunk_where_two_fit(monkeypatch):
     # at N = 128 numpy's einsum sums one lone matrix in another order than
     # a stack, so a lone sample would change tr JU-dagger in its last bits.
-    # 101 samples end in a batch of 5, which 2**15 entries would cut 1, 2, 2
+    # 101 samples end in a batch of 5, which 2**15 entries cut 1, 2, 2 and
+    # 2**17 entries leave whole; the lone sample's traces are taken with a
+    # twin, so the estimate is the same
     spec = GroupSpec(UNITARY, 128)
     src = random_source_matrices(128, 2)
-    sizes = _keyed_batch(spec, 2, 3, 5, lambda u: [len(u)])
-    assert sizes.min() >= 2 and sizes.max() * 128 ** 2 <= \
-        haar_mc._CHUNK_ENTRIES + 128 ** 2
     runs = []
     for entries in (2 ** 15, 2 ** 17):
         monkeypatch.setattr(haar_mc, "_CHUNK_ENTRIES", entries)
         runs.append(_fresh(lambda: estimate_trace_moment(1, 1, src, spec,
                                                          101, 2)))
     assert runs[0] == runs[1]
+
+
+def _phase_sources(dim):
+    """K a diagonal of phases and J = K-dagger: JK = 1, and the balanced
+    integrand |tr KU|^(2n) is real and nonnegative."""
+    k = np.diag(np.exp(1j * np.array([0.4, 1.3, -2.1][:dim])))
+    return SourceMatrices(k.conj(), k)
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sectors_at_weight_up_from_dim_pass_mc(group, dim):
+    # the balanced sector on both groups and the shifted one on SU(N) at
+    # N <= n <= 6, where the character sum drops the diagrams with more
+    # than N rows (N + 1 one dimension up); one key, so the kept columns
+    # serve every moment, and a stderr under 5% of the value
+    spec = GroupSpec(group, dim)
+    src = _phase_sources(dim)
+    cases = [(n, n, haar_mc.eval_ordinary(n, src)) for n in range(dim, 7)]
+    if group == SPECIAL_UNITARY:
+        cases += [(dim + n, n, haar_mc.eval_shifted(n, src))
+                  for n in range(dim, 7)]
+    for p, n, exact in cases:
+        est = estimate_trace_moment(p, n, src, spec, 200_000, 5)
+        assert compare(est, exact, SIGMAS)["pass"], (p, n)
+        assert max(est.stderr_real, est.stderr_imag) < 0.05 * abs(exact)
 
 
 def test_batch_size_bounds_the_working_set():
@@ -438,7 +463,8 @@ def test_lone_sample_gets_its_stacked_traces(dim):
         return haar_mc._trace_columns(src, u)
 
     one = _keyed_batch(spec, 2, 4, 1, columns)
-    three = _keyed_batch(spec, 2, 4, 3, columns)
+    # the traces of the batch's first three samples taken as one stack
+    three = columns(_matrices(spec, 2, 4, 3))
     assert one.shape == (1, 2)
     for column in range(2):
         assert one[0, column] == three[0, column], column
@@ -633,9 +659,10 @@ def _two_batch_means(low, high):
     (lambda: SourceMatrices(np.eye(2), np.eye(3)), "square matrices"),
     (lambda: SourceMatrices(np.ones((2, 3)), np.ones((2, 3))),
      "square matrices"),
+    (lambda: SourceMatrices(np.ones((0, 0)), np.ones((0, 0))), "N >= 1"),
     # each batch is finite, but squaring the gap of their means overflows
     (lambda: _two_batch_means(0.0, 1e200), "estimate is not finite"),
-], ids=["unequal-sizes", "not-square", "merge-overflow"])
+], ids=["unequal-sizes", "not-square", "empty", "merge-overflow"])
 def test_refused_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -17,8 +17,7 @@ from sunint.su_shifted import (
     shifted_table,
     shifted_table_recursive,
 )
-from sunint.weingarten import MAX_WEIGHT, SectorError, \
-    weingarten_table_character
+from sunint.weingarten import MAX_WEIGHT, weingarten_table_character
 
 
 def part(text):
@@ -167,15 +166,25 @@ def test_eval_shifted_small(monkeypatch):
     # coefficients at N=4: [1^2] -> 5/4, [2] -> -1/4
     expect = det_k * (1.25 * t1 ** 2 - 0.25 * t2)
     assert abs(eval_shifted(2, src) - expect) < 1e-12
-    with pytest.raises(SectorError):
-        eval_shifted(4, src)
+    # at n = dim no diagram has more than dim + 1 rows, and the table holds
+    t = src.trace_powers(4)
+    expect = det_k * sum(float(v.evaluate(4)) * prod(t[q - 1] ** m
+                                                     for q, m in a.items())
+                         for a, v in shifted_table(4).entries.items())
+    assert abs(eval_shifted(4, src) - expect) < 1e-12
+    # SU(1) is the identity alone, so the integrand is K^(n+1) J^n itself
+    one = _fixed_sources(1)
+    j, k = complex(one.J[0, 0]), complex(one.K[0, 0])
+    for n in range(MAX_WEIGHT + 1):
+        assert abs(eval_shifted(n, one) - k ** (n + 1) * j ** n) < 1e-12
     # n = 0 returns det K itself: a product with 1 would turn -0.0 into 0.0
     monkeypatch.setattr(np.linalg, "det", lambda k: complex(2.0, -0.0))
     assert repr(eval_shifted(0, src)) == repr(complex(2.0, -0.0))
 
 
 def test_shifted_entries_have_no_pole_at_valid_dims():
-    # evaluation demands n < dim; every denominator factor then stays nonzero
+    # the table's poles lie at dim <= n - 2 (eval_shifted does not read the
+    # table); at every dim > n each denominator factor stays nonzero
     for n in range(1, 6):
         for dim in range(n + 1, n + 4):
             for v in shifted_table(n).entries.values():

@@ -1,9 +1,10 @@
 """Balanced-sector coefficient tables and the exact tensor integral."""
 
+import bisect
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,10 +25,9 @@ from sunint.reference import reference_table
 from sunint.su_shifted import shifted_table
 from sunint.weingarten import (
     MAX_WEIGHT,
+    MAX_TENSOR_WEIGHT,
     CoeffTable,
-    SectorError,
     monomial_integral,
-    weingarten_class_coefficient,
     weingarten_table_character,
     weingarten_table_recursive,
 )
@@ -49,10 +49,69 @@ def test_refused_weights(build, n, message):
 
 
 def test_class_coefficient_small():
-    assert weingarten_class_coefficient(part("1^1")) == RatFuncN(1, N)
-    assert weingarten_class_coefficient(part("2^1")) == RatFuncN(
-        -1, (N**2 - 1) * N)
-    assert weingarten_class_coefficient(part("1^2")) == RatFuncN(1, N**2 - 1)
+    # C = 1/N on [1], 1/(N^2 - 1) on [1^2] and -1/((N^2 - 1) N) on [2]
+    for dim in range(2, 6):
+        assert weingarten._class_function(1, dim) == {
+            part("1^1"): Fraction(1, dim)}
+        assert list(weingarten._class_function(2, dim).items()) == [
+            (part("1^2"), Fraction(1, dim ** 2 - 1)),
+            (part("2^1"), Fraction(-1, (dim ** 2 - 1) * dim))]
+    # at N = 1, where those have a pole, only the one-row diagram [2] is an
+    # irreducible of U(1): C = 1 * 1 / (2! * 1 * 2) on both classes
+    assert weingarten._class_function(2, 1) == {
+        part("1^2"): Fraction(1, 4), part("2^1"): Fraction(1, 4)}
+
+
+def test_class_function_equals_tables_where_they_hold():
+    # where no diagram is dropped (n <= dim, and n <= dim + 1 one dimension
+    # up) the integer-N sum is the tables' rational functions at N = dim
+    for n in range(MAX_WEIGHT + 1):
+        balanced, shifted = weingarten_table_character(n), shifted_table(n)
+        for dim in range(max(n - 1, 1), n + 4):
+            values = weingarten._class_function(n, dim)
+            up = weingarten._class_function(n, dim + 1)
+            rise = prod(range(dim + 1, dim + n + 1))
+            for alpha in enumerate_partitions(n):
+                assert rise * class_size(alpha) * up[alpha] == \
+                    shifted[alpha].evaluate(dim), (n, dim, alpha.to_string())
+                if dim >= n:
+                    assert class_size(alpha) * values[alpha] == \
+                        balanced[alpha].evaluate(dim), (n, dim)
+
+
+def test_class_function_sums_to_the_u11_moment():
+    # n! sum over classes of class_size * C = E|U_11|^(2n) = 1/C(N+n-1, n),
+    # at every weight, n >= N included
+    for dim in range(1, 5):
+        for n in range(MAX_WEIGHT + 1):
+            values = weingarten._class_function(n, dim)
+            total = sum(class_size(a) * c for a, c in values.items())
+            assert factorial(n) * total == Fraction(1, comb(dim + n - 1, n))
+
+
+def _longest_increasing(sigma):
+    """Length of the longest increasing subsequence, by patience sorting."""
+    tops = []
+    for x in sigma:
+        at = bisect.bisect_left(tops, x)
+        tops[at:at + 1] = [x]
+    return len(tops)
+
+
+def test_class_function_counts_permutations_by_longest_increasing():
+    # E|tr U|^(2n) over U(N), n! sum of class_size * C * N^(parts) with
+    # J = K = 1, counts the permutations of n with no increasing subsequence
+    # longer than N (Rains, Electron. J. Combin. 5 (1998) R12)
+    for n in range(7):
+        longest = Counter(map(_longest_increasing,
+                              itertools.permutations(range(n))))
+        for dim in range(1, 5):
+            values = weingarten._class_function(n, dim)
+            moment = factorial(n) * sum(
+                class_size(a) * c * dim ** a.num_parts
+                for a, c in values.items())
+            assert moment == sum(count for length, count in longest.items()
+                                 if length <= dim), (n, dim)
 
 
 def test_character_table_matches_reference():
@@ -110,11 +169,7 @@ def test_character_route_equals_per_diagram_sum():
             entry = RatFuncN(class_size(alpha) * coefficient.num,
                              coefficient.den)
             up = RatFuncN(rise * entry.num.shifted(1), entry.den.shifted(1))
-            assert str(weingarten_class_coefficient(alpha)) == \
-                str(coefficient), (n, alpha.to_string())
             assert str(balanced[alpha]) == str(entry), (n, alpha.to_string())
-            assert class_size(alpha) * weingarten_class_coefficient(alpha) \
-                == balanced[alpha]
             assert str(shifted[alpha]) == str(up), (n, alpha.to_string())
             for value, bound in zip((balanced[alpha], shifted[alpha]),
                                     bounds):
@@ -130,8 +185,7 @@ def test_character_and_shift_routes_run_no_polynomial_gcd(monkeypatch):
     for n in range(MAX_WEIGHT + 1):
         weingarten_table_character.__wrapped__(n)
         shifted_table.__wrapped__(n)
-        for alpha in enumerate_partitions(n):
-            weingarten_class_coefficient.__wrapped__(alpha)
+        weingarten._class_function.__wrapped__(n, 2)
 
 
 def test_sign_law():
@@ -178,6 +232,9 @@ def test_monomial_integral_basics():
     # row sum: sum_j |U_1j|^2 = 1 exactly
     assert sum(monomial_integral([1], [j], [j], [1], 4)
                for j in range(1, 5)) == 1
+    # weight n >= dim: on U(2), |U_22| = |U_11|, so this is E|U_11|^4
+    assert monomial_integral([1, 2], [1, 2], [1, 2], [1, 2], 2) == \
+        Fraction(1, 3)
 
 
 @st.composite
@@ -232,8 +289,8 @@ def _pair_sum_oracle(i, j, k, l, dim):
                       if all(j[a] == k[tau[sigma[a]]] for a in range(n)))
         if matches:
             alpha = weingarten._cycle_type(sigma)
-            total += matches * weingarten_class_coefficient(alpha).evaluate(
-                dim)
+            entry = weingarten_table_character(n)[alpha].evaluate(dim)
+            total += matches * entry / class_size(alpha)
     return total
 
 
@@ -267,6 +324,15 @@ def test_monomial_integral_all_equal_indices_at_weight_six():
         Fraction(1, 924)
 
 
+def test_monomial_integral_u11_moment_law():
+    # E|U_11|^(2n) = 1/C(N+n-1, n), n >= N included
+    for dim in range(1, 5):
+        for n in range(1, MAX_TENSOR_WEIGHT + 1):
+            ones = [1] * n
+            assert monomial_integral(ones, ones, ones, ones, dim) == \
+                Fraction(1, comb(dim + n - 1, n)), (n, dim)
+
+
 def test_monomial_integral_unmatched_indices_skip_enumeration(monkeypatch):
     def enumerate_anyway(src, dst):
         raise AssertionError("enumerated a coset of unmatched indices")
@@ -280,8 +346,8 @@ def test_monomial_integral_unmatched_indices_skip_enumeration(monkeypatch):
 
 
 def test_monomial_integral_guards():
-    with pytest.raises(SectorError):
-        monomial_integral([1, 2], [1, 2], [1, 2], [1, 2], 2)
+    with pytest.raises(ValueError, match="dim >= 1"):
+        monomial_integral([], [], [], [], 0)
     with pytest.raises(ValueError):
         monomial_integral([1, 2], [1], [1, 2], [1, 2], 5)
     with pytest.raises(ValueError):
@@ -324,8 +390,17 @@ def test_eval_ordinary():
     z2 = Fraction(-1, 60)          # -1/((N^2-1)N) at N=4
     expect = 2 * (float(z11) * t1 ** 2 + float(z2) * t2)
     assert abs(eval_ordinary(2, src) - expect) < 1e-12
-    with pytest.raises(SectorError):
-        eval_ordinary(4, src)
+    # at n = dim no diagram has more than dim rows, and the table holds
+    t = src.trace_powers(4)
+    expect = 24 * sum(float(v.evaluate(4)) * prod(t[q - 1] ** m
+                                                   for q, m in a.items())
+                      for a, v in weingarten_table_character(4).entries.items())
+    assert abs(eval_ordinary(4, src) - expect) < 1e-12
+    # every U(1) sample is a phase, so the integrand is (JK)^n itself
+    one = _fixed_sources(1)
+    jk = complex(one.J[0, 0] * one.K[0, 0])
+    for n in range(MAX_WEIGHT + 1):
+        assert abs(eval_ordinary(n, one) - jk ** n) < 1e-12
 
 
 def test_source_matrices_json_round_trip():
