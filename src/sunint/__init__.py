@@ -26,9 +26,8 @@ _EXPORTS = {
         "Partition", "enumerate_partitions", "enumerate_diagrams",
         "class_size", "character", "dim_sn", "dim_gl", "catalan"),
     "weingarten": (
-        "CoeffTable", "MAX_WEIGHT", "MAX_TENSOR_WEIGHT",
-        "weingarten_table_character", "weingarten_table_recursive",
-        "monomial_integral"),
+        "CoeffTable", "MAX_WEIGHT", "weingarten_table_character",
+        "weingarten_table_recursive", "monomial_integral"),
     "su_shifted": (
         "epsilon_integral", "shifted_table", "shifted_table_recursive",
         "check_shift_identity"),

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 from .exactmath import format_poly
 from .partitions import Partition
 from .weingarten import (
-    MAX_TENSOR_WEIGHT,
     MAX_WEIGHT,
     monomial_integral,
     weingarten_table_character,
@@ -244,7 +243,7 @@ def _sector(group: str, p: int, n: int, dim: int) -> str:
     U(dim) or SU(dim): the value is zero in "unbalanced" (U(dim), p != n)
     and "charge-mismatch" (SU(dim), p - n not a multiple of dim).  The
     balanced (p = n) and shifted (p = n + dim) sectors are known exactly at
-    every weight n up to MAX_WEIGHT (tensor refuses n > MAX_TENSOR_WEIGHT
+    every weight n up to MAX_WEIGHT (tensor refuses more U-dagger factors
     first); above it they are "balanced-high-weight" and "outside-range",
     as is every other p - n."""
     if group == _UNITARY and p != n:
@@ -381,12 +380,12 @@ def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:
     dim = args.N
     if dim < 1:
         raise ValueError("--N must be >= 1")
-    # only the U-dagger count feeds the |T| |S| pair sum; more U factors are
+    # n U-dagger factors bound the double coset by n!; more U factors are
     # cheap (epsilon is O(N log N)), and N <= 128 keeps 1/N! printable
-    u_cap = max(MAX_TENSOR_WEIGHT, min(dim, _MAX_SAMPLED_N))
-    if len(k) > MAX_TENSOR_WEIGHT or len(i) > u_cap:
+    u_cap = max(MAX_WEIGHT, min(dim, _MAX_SAMPLED_N))
+    if len(k) > MAX_WEIGHT or len(i) > u_cap:
         raise ValueError("at most %d U-dagger factors and %d U factors at "
-                         "N = %d" % (MAX_TENSOR_WEIGHT, u_cap, dim))
+                         "N = %d" % (MAX_WEIGHT, u_cap, dim))
     if any(not 1 <= x <= dim for x in i + j + k + l):
         raise ValueError("indices must be in 1..%d" % dim)
     if args.mc_samples:

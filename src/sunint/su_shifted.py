@@ -42,10 +42,10 @@ def epsilon_integral(i: Sequence[int], j: Sequence[int],
     """Exact Haar average over the special unitary group of
     U_{i1 j1} ... U_{iN jN} (one factor per dimension, no daggers):
     the product of the two epsilon signs divided by N!.  Indices 1-based."""
+    if dim < 1 or any(not 1 <= x <= dim for x in (*i, *j)):
+        raise ValueError(f"need dim >= 1 and indices in 1..{dim}")
     if len(i) != dim or len(j) != dim:
         raise ValueError(f"index lists must have length {dim}")
-    if any(not 1 <= x <= dim for x in (*i, *j)):
-        raise ValueError(f"indices must be in 1..{dim}")
     return Fraction(_levi_civita(i, dim) * _levi_civita(j, dim),
                     factorial(dim))
 

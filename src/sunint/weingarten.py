@@ -11,7 +11,6 @@ test, not an implementation shortcut: neither calls the other.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +35,7 @@ from .partitions import (
     enumerate_partitions,
 )
 
-MAX_WEIGHT = 8          # table sizes stay desk-scale; p(8) = 22 unknowns
-MAX_TENSOR_WEIGHT = 6   # the |T| |S| pair sum is capped here
+MAX_WEIGHT = 8  # table sizes stay desk-scale; p(8) = 22 unknowns
 
 
 @dataclass(frozen=True)
@@ -230,21 +228,22 @@ def _cycle_type(sigma: Sequence[int]) -> Partition:
     return Partition.from_parts(parts)
 
 
-def _matchings(src: Sequence[int], dst: Sequence[int]) -> list[tuple]:
-    """Every tau with dst[tau[a]] == src[a] for all a, for src a
-    rearrangement of dst (a coset of the Young subgroup fixing dst): the
-    positions of each value in src go to its positions in dst in any order."""
-    order = sorted(range(len(src)), key=src.__getitem__)
-    blocks = itertools.groupby(sorted(range(len(dst)), key=dst.__getitem__),
-                               key=dst.__getitem__)
-    out = []
-    for images in itertools.product(*(itertools.permutations(block)
-                                      for _, block in blocks)):
-        tau = [0] * len(src)
-        for a, b in zip(order, itertools.chain(*images)):
-            tau[a] = b
-        out.append(tuple(tau))
-    return out
+def _double_coset(sigma: tuple, left: list, right: list) -> set[tuple]:
+    """H sigma K in S_n, for H and K generated by the transpositions in
+    ``left`` and ``right``: the closure of {sigma} under (a b) o x (swap
+    the entries a and b of x) and x o (a b) (swap positions a and b)."""
+    coset = {sigma}
+    stack = [sigma]
+    while stack:
+        x = stack.pop()
+        for a, b in [(x.index(u), x.index(v)) for u, v in left] + right:
+            y = list(x)
+            y[a], y[b] = x[b], x[a]
+            y = tuple(y)
+            if y not in coset:
+                coset.add(y)
+                stack.append(y)
+    return coset
 
 
 def monomial_integral(i: Sequence[int], j: Sequence[int],
@@ -252,33 +251,40 @@ def monomial_integral(i: Sequence[int], j: Sequence[int],
                       dim: int) -> Fraction:
     """Exact Haar average of U_{i1 j1} ... U_{in jn} * conj over index pairs
     (k, l): the balanced product of n elements of U and n of U-dagger on a
-    dim-dimensional unitary group, at any weight n up to MAX_TENSOR_WEIGHT,
+    dim-dimensional unitary group, at any weight n up to MAX_WEIGHT,
     n >= dim included.  It is also the average over the special unitary
     group, since the product is invariant under U -> exp(i theta) U.
     Indices are 1-based.  The value is real.
 
     The sum of C(tau^-1 rho) at N = dim over tau in T = {i = l o tau} and
     rho in S = {j = k o rho}, cosets of Young subgroups that are empty
-    unless i rearranges l and j rearranges k.  The products are counted
-    first, so C is read once per cycle type that occurs.
+    unless i rearranges l and j rearranges k.  The products fill the double
+    coset D = H_i sigma0 H_j (H_x the Young subgroup that fixes x), each
+    |H_i| |H_j| / |D| times, so D (at most n! elements) is summed instead,
+    reading C once per cycle type.
     """
     n = len(i)
     if not (len(j) == len(k) == len(l) == n):
         raise ValueError("index lists must have equal length")
-    if n > MAX_TENSOR_WEIGHT:
-        raise ValueError(f"monomial weight {n} above cap {MAX_TENSOR_WEIGHT}")
+    if n > MAX_WEIGHT:
+        raise ValueError(f"monomial weight {n} above cap {MAX_WEIGHT}")
     if dim < 1 or any(not 1 <= x <= dim for x in (*i, *j, *k, *l)):
         raise ValueError(f"need dim >= 1 and indices in 1..{dim}")
     if sorted(i) != sorted(l) or sorted(j) != sorted(k):
         return Fraction(0)
 
-    # the taus' inverses are the matchings of l onto i
-    inverses = _matchings(l, i)
-    products = Counter(tuple(map(inv.__getitem__, rho))
-                       for rho in _matchings(j, k) for inv in inverses)
-    types = Counter()
-    for sigma, count in products.items():
-        types[_cycle_type(sigma)] += count
+    # tau0^-1 and rho0 pair the positions of each value in order, and the
+    # swaps of neighbouring positions of one value generate H_i and H_j
+    i_pos, j_pos, k_pos, l_pos = (sorted(range(n), key=x.__getitem__)
+                                  for x in (i, j, k, l))
+    inverse, rho = dict(zip(l_pos, i_pos)), dict(zip(j_pos, k_pos))
+    left, right = ([(a, b) for a, b in zip(pos, pos[1:]) if x[a] == x[b]]
+                   for x, pos in ((i, i_pos), (j, j_pos)))
+    coset = _double_coset(tuple(inverse[rho[a]] for a in range(n)),
+                          left, right)
+    types = Counter(map(_cycle_type, coset))
     values = _class_function(n, dim)
-    return sum((values[alpha] * count for alpha, count in types.items()),
-               Fraction(0))
+    total = sum(values[alpha] * count for alpha, count in types.items())
+    stabilizers = prod(factorial(m) for x in (i, j)
+                       for m in Counter(x).values())
+    return total * stabilizers / len(coset)

@@ -381,7 +381,7 @@ def test_tensor_unbalanced_unitary_is_zero(capsys):
 def test_tensor_u11_moment_law(capsys):
     # E |U_11|^(2n) = 1 / C(N + n - 1, n) at every weight, n >= N included
     for dim in range(1, 5):
-        for n in range(1, cli.MAX_TENSOR_WEIGHT + 1):
+        for n in range(1, 7):
             pairs = ",".join(["1:1"] * n)
             code, payload = run_json(capsys, "tensor", "--N", str(dim),
                                      "--u", pairs, "--udagger", pairs,
@@ -447,18 +447,24 @@ def test_tensor_epsilon_above_the_weight_cap(capsys, dim):
 
 
 @pytest.mark.parametrize("dim, u, udagger", [
-    (8, 7, 7),
-    (8, 0, 7),
-    (7, 8, 0),
+    (10, 9, 9),
+    (10, 0, 9),
+    (7, 9, 0),
     (129, 129, 0),
-], ids=["udagger-7", "udagger-7-alone", "u-8-at-N7", "u-129-at-N129"])
-def test_tensor_factor_caps_exit_2(capsys, dim, u, udagger):
-    code, out, err = run(capsys, "tensor", "--N", str(dim),
-                         "--u", _pairs([1] * u, [1] * u),
+], ids=["udagger-9", "udagger-9-alone", "u-9-at-N7", "u-129-at-N129"])
+def test_tensor_factor_caps_exit_2(capsys, monkeypatch, dim, u, udagger):
+    def integrate_anyway(*args):
+        raise AssertionError("integrated past a factor cap")
+
+    # the refusal comes before the double coset is enumerated
+    monkeypatch.setattr(cli, "monomial_integral", integrate_anyway)
+    code, out, err = run(capsys, "tensor", "--N", str(dim), "--group",
+                         "unitary", "--u", _pairs([1] * u, [1] * u),
                          "--udagger", _pairs([1] * udagger, [1] * udagger))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: at most ") and err.count("\n") == 1
+    assert err.startswith("error: at most 8 U-dagger factors and ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,6 +48,10 @@ def test_epsilon_integral_values():
         epsilon_integral([1, 5], [1, 2], 2)
     with pytest.raises(ValueError):
         epsilon_integral([0, 1], [2, 1], 2)
+    # there is no SU(0), and no SU(-1) to ask for an index list of length -1
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="need dim >= 1"):
+            epsilon_integral([], [], dim)
 
 
 def test_epsilon_contraction_gives_determinant():

@@ -25,7 +25,6 @@ from sunint.reference import reference_table
 from sunint.su_shifted import shifted_table
 from sunint.weingarten import (
     MAX_WEIGHT,
-    MAX_TENSOR_WEIGHT,
     CoeffTable,
     monomial_integral,
     weingarten_table_character,
@@ -312,6 +311,8 @@ def _repeated_indices(draw):
 @example(([1, 1, 2, 2, 1], [2, 1, 1, 1, 2], [1, 2, 1, 2, 1],
           [2, 1, 1, 1, 2], 6))
 @example(([1] * 5, [1] * 5, [1] * 5, [1] * 5, 6))
+@example(([1, 2, 1, 2, 1, 1], [2, 2, 1, 1, 2, 1], [1, 2, 1, 2, 2, 1],
+          [1, 1, 2, 2, 1, 1], 7))
 def test_monomial_integral_matches_pair_sum_oracle(case):
     i, j, k, l, dim = case
     assert monomial_integral(i, j, k, l, dim) == _pair_sum_oracle(
@@ -327,17 +328,21 @@ def test_monomial_integral_all_equal_indices_at_weight_six():
 def test_monomial_integral_u11_moment_law():
     # E|U_11|^(2n) = 1/C(N+n-1, n), n >= N included
     for dim in range(1, 5):
-        for n in range(1, MAX_TENSOR_WEIGHT + 1):
+        for n in range(1, 7):
             ones = [1] * n
             assert monomial_integral(ones, ones, ones, ones, dim) == \
                 Fraction(1, comb(dim + n - 1, n)), (n, dim)
+    # up to the weight cap at one N; at n = 8 the double coset is all of S_8
+    for n, expected in ((7, Fraction(1, 1716)), (8, Fraction(1, 3003))):
+        ones = [1] * n
+        assert monomial_integral(ones, ones, ones, ones, 7) == expected
 
 
 def test_monomial_integral_unmatched_indices_skip_enumeration(monkeypatch):
-    def enumerate_anyway(src, dst):
+    def enumerate_anyway(sigma, left, right):
         raise AssertionError("enumerated a coset of unmatched indices")
 
-    monkeypatch.setattr(weingarten, "_matchings", enumerate_anyway)
+    monkeypatch.setattr(weingarten, "_double_coset", enumerate_anyway)
     # i is no rearrangement of l, then j none of k
     assert monomial_integral([1, 2, 2], [1, 2, 3], [3, 1, 2],
                              [2, 1, 1], 4) == 0
@@ -352,9 +357,18 @@ def test_monomial_integral_guards():
         monomial_integral([1, 2], [1], [1, 2], [1, 2], 5)
     with pytest.raises(ValueError):
         monomial_integral([0], [1], [1], [1], 3)
-    with pytest.raises(ValueError):
-        monomial_integral(list(range(1, 8)), list(range(1, 8)),
-                          list(range(1, 8)), list(range(1, 8)), 20)
+    with pytest.raises(ValueError, match="monomial weight 9 above cap 8"):
+        monomial_integral(list(range(1, 10)), list(range(1, 10)),
+                          list(range(1, 10)), list(range(1, 10)), 20)
+
+
+def test_weight_cap_bounds_the_double_coset():
+    # monomial_integral enumerates one double coset of S_n, up to n!
+    # elements at n = MAX_WEIGHT; that work is measured at 8! (about 1 s
+    # cold at N = 7) and at no larger cap
+    assert factorial(MAX_WEIGHT) <= 40_320, \
+        "raising MAX_WEIGHT past 8 needs the double-coset work re-measured " \
+        "(ROADMAP item 6)"
 
 
 def test_monomial_integral_rejects_indices_above_dim():
