@@ -175,14 +175,14 @@ def _series_routes() -> dict:
 
 
 # Largest --order per route, so every call ends in bounded time.  On a
-# 2-vCPU box closed and ww take 4.8-5.5 s at order 38 (5.5-6.6 s at 39).
-# The fixed point computes one new grade per pass and grows about 1.5x per
-# order: `largen wd --order 27 --compare` took 6.1-6.3 s against 4.8-5.0 s
-# for `largen wd --order 38` when the two alternated, and order 28 took
-# 7.8-9.0 s, so its cap, which --compare shares, is 27.  The finite-N
-# route, tables included, takes 0.06 s at order 8 and 0.7-1.1 s at order
-# 12; its cap stays at 4 on purpose, because a cap of 8 or more changes
-# the output of `largen wd --order 8 --compare`.
+# 2-vCPU box `largen wd --order 38` takes 3.3-3.9 s.  The fixed point
+# computes one new grade per pass on packed int keys, about 1.3x per order:
+# `largen wd --order 27 --compare` took 0.9-1.4 s, alternating with order
+# 38.  Its cap of 27, which --compare shares, was the last order no slower
+# than closed at 38 before the keys were packed; raising it changes which
+# calls exit 2.  The finite-N route, tables included, takes 0.01 s at order
+# 8 and 0.11-0.12 s at 12; its cap stays at 4 on purpose, because a cap of
+# 8 or more changes the output of `largen wd --order 8 --compare`.
 _ORDER_CAPS = {"closed": 38, "fixedpoint": 27, "finite-n": 4}
 
 

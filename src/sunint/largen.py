@@ -8,8 +8,11 @@ the powers of 1 + w (the route Lagrange inversion justifies), and the
 exact finite-N tables expanded as power series in 1/N, whose log yields
 each limit as one series coefficient.  The strong-coupling series of the
 balanced sector comes from its own closed coefficient formula.  Agreement
-of the routes is the point, so none of them shares code with another: each
-computes in its own arithmetic and returns a read-only ``TraceSeries``.
+of the routes is the point, so none of them shares code with another
+beyond the key codec: each computes in its own arithmetic and returns a
+read-only ``TraceSeries``.  The fixed point and the finite-N route key
+their dicts by packed ints (``_pack``), so a product of trace monomials is
+a sum of keys, and the finite-N route takes g! times its log, in ints.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from math import comb, factorial
 from .exactmath import RatFuncN
 from .partitions import Partition, catalan, enumerate_partitions
 from .su_shifted import shifted_table
-
-EMPTY = Partition()
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,29 @@ def shifted_free_energy_closed(order: int) -> TraceSeries:
     return TraceSeries(order, terms)
 
 
+def _pack(alpha: Partition, width: int) -> int:
+    """alpha as one int, the multiplicity of part q in bit field q - 1 of
+    the given width; no field carries while weights stay below 2^width."""
+    return sum(m << width * (q - 1) for q, m in alpha.items())
+
+
+def _unpack(key: int, width: int) -> Partition:
+    return Partition((key >> s) & ((1 << width) - 1)
+                     for s in range(0, key.bit_length(), width))
+
+
+def _grade_product(lower: list[dict], w: list[dict], g: int) -> dict:
+    """Grade g of the product of two series of packed-key grade slices."""
+    grade: dict[int, int] = {}
+    for j in range(g + 1):
+        right = w[j].items()
+        for a1, c1 in lower[g - j].items():
+            for a2, c2 in right:
+                key = a1 + a2
+                grade[key] = grade.get(key, 0) + c1 * c2
+    return grade
+
+
 def fixedpoint_w_series(order: int) -> TraceSeries:
     """The auxiliary series w = y/coupling - 1, where y solves
     y = coupling * sum_m f_m y^m with f_0 = 1 and f_m = (-1)^(m-1) Cat(m-1)
@@ -94,46 +118,39 @@ def fixedpoint_w_series(order: int) -> TraceSeries:
     of u^m, then extends each power u^m with m <= order - g by its grade-g
     slice, sum_{j=0..g} (grade g-j of u^(m-1)) w_j with w_0 = 1, in
     ascending m, so that grade g of u^(m-1) is ready.  Grades are dicts
-    from partition to coefficient; each f_m is an int, and so is every
-    coefficient of w."""
+    from packed partition to coefficient; each f_m is an int, and so is
+    every coefficient of w."""
     if order < 1:
         raise ValueError("order must be positive")
-    one = {EMPTY: 1}
+    width = order.bit_length()
+    one = {0: 1}
     w = [one]
     # powers[m][k]: grade k of u^m; u^0 = 1 has no grade above 0
     powers = [[one] + [{}] * order] + [[one] for _ in range(order)]
     for g in range(1, order + 1):
-        w_g: dict[Partition, int] = {}
+        w_g: dict[int, int] = {}
         for m in range(1, g + 1):
             f_m = (-1) ** (m - 1) * catalan(m - 1)
-            trace = EMPTY.add_part(m)
+            trace = 1 << width * (m - 1)
             for a, c in powers[m][g - m].items():
-                key = a.merge(trace)
-                w_g[key] = w_g.get(key, 0) + f_m * c
+                w_g[a + trace] = w_g.get(a + trace, 0) + f_m * c
         w.append(w_g)
         for m in range(1, order - g + 1):
-            lower = powers[m - 1]
-            grade: dict[Partition, int] = {}
-            for j in range(g + 1):
-                for a1, c1 in lower[g - j].items():
-                    for a2, c2 in w[j].items():
-                        key = a1.merge(a2)
-                        grade[key] = grade.get(key, 0) + c1 * c2
-            powers[m].append(grade)
-    return TraceSeries(order, {(g, a): c for g in range(1, order + 1)
-                               for a, c in w[g].items()})
+            powers[m].append(_grade_product(powers[m - 1], w, g))
+    return TraceSeries(order, {(g, _unpack(a, width)): c for g in
+                               range(1, order + 1) for a, c in w[g].items()})
 
 
 def shifted_free_energy_fixedpoint(order: int) -> TraceSeries:
     """Determinant-sector limit free energy from the fixed-point route:
     integrate the w series term by term (grade n picks up 1/n)."""
     w = fixedpoint_w_series(order)
-    return TraceSeries(order, {(g, a): c * Fraction(1, g)
+    return TraceSeries(order, {(g, a): Fraction(c, g)
                                for (g, a), c in w.terms.items()})
 
 
 def _series_in_inverse_n(value: RatFuncN,
-                         length: int) -> dict[int, Fraction] | None:
+                         length: int) -> dict[int, int | Fraction] | None:
     """The nonzero coefficients of x^0 .. x^(length-1), keyed by the power
     in ascending order, in the expansion of value as a power series in
     x = 1/N; None when value grows with N.
@@ -141,56 +158,58 @@ def _series_in_inverse_n(value: RatFuncN,
     With numerator and denominator of degrees p <= q, value is x^(q-p)
     times the quotient of the reversed coefficient lists, and the reversed
     denominator starts with the leading coefficient, so long division
-    yields the quotient one term at a time."""
+    yields the quotient one term at a time, an int while the leading
+    coefficient divides it (always, for a monic denominator)."""
     num, den = value.num.coeffs[::-1], value.den.coeffs[::-1]
     shift = len(den) - len(num)
     if shift < 0:
         return None
-    quo: list[Fraction] = []
+    quo: list[int | Fraction] = []
     for k in range(length - shift):
         c = num[k] if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
             c -= den[i] * quo[k - i]
-        quo.append(Fraction(c, den[0]))
+        quo.append(c // den[0] if type(c) is int and c % den[0] == 0
+                   else Fraction(c, den[0]))
     return {shift + k: c for k, c in enumerate(quo) if c}
 
 
 def shifted_free_energy_from_tables(order: int) -> TraceSeries:
     """Determinant-sector limit free energy from exact finite-N tables.
 
-    G = 1 + sum_n coupling^n/n! times the weight-n table, with every entry
-    expanded once as a power series in x = 1/N through x^(order-1).  The
-    log L = log G follows grade by grade from G L' = G': L_g = G_g -
-    sum_{0<j<g} (j/g) L_j G_{g-j}.  Rescaling the coupling by N and dividing
-    by N multiplies grade g by N^(g-1), so the limit of a grade-g
-    coefficient is its x^(g-1) term, and every term below it must vanish.
-    A divergent coefficient, or a table entry that grows with N, would
-    refute the whole scaling picture, so it raises rather than being
-    clipped.  Series are dicts of their nonzero terms, since entries decay
-    like powers of x and most low terms are zero.
+    G = 1 + sum_n coupling^n/n! T_n, T_n the weight-n table with every
+    entry expanded once as a power series in x = 1/N through x^(order-1).
+    The log L = log G follows from G L' = G': in ints, Lam_g = g! L_g =
+    T_g - sum_{0<j<g} C(g-1, j-1) Lam_j T_{g-j}.  Rescaling the coupling by
+    N and dividing by N multiplies grade g by N^(g-1), so the limit of a
+    grade-g coefficient is the x^(g-1) term of Lam_g over g!, and every
+    term below it must vanish.  A divergent coefficient, or a table entry
+    that grows with N, would refute the whole scaling picture, so it
+    raises rather than being clipped.  Series are dicts of their nonzero
+    terms, since entries decay like powers of x and most are zero.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    # gen[g] and log[g]: the grade-g slices of G and L, alpha -> series
-    gen: list[dict[Partition, dict[int, Fraction]]] = [{}]
-    log: list[dict[Partition, dict[int, Fraction]]] = [{}]
+    width = order.bit_length()
+    # table[g] and log[g]: T_g and Lam_g, packed alpha -> series in x
+    table: list[dict[int, dict]] = [{}]
+    log: list[dict[int, dict]] = [{}]
     terms: dict[tuple[int, Partition], Fraction] = {}
     for g in range(1, order + 1):
-        scale = Fraction(1, factorial(g))
-        gen.append({})
+        table.append({})
         for a, v in shifted_table(g).entries.items():
             series = _series_in_inverse_n(v, order)
             if series is None:
                 raise ValueError(f"table entry at grade {g}, partition [{a}] "
                                  f"grows as N grows: {v}")
-            gen[g][a] = {k: c * scale for k, c in series.items()}
-        acc = {a: dict(s) for a, s in gen[g].items()}
+            table[g][_pack(a, width)] = series
+        acc = {a: dict(s) for a, s in table[g].items()}
         for j in range(1, g):
-            weight = Fraction(j, g)
+            weight = comb(g - 1, j - 1)
             for a1, s1 in log[j].items():
                 s1 = {k: c * weight for k, c in s1.items()}
-                for a2, s2 in gen[g - j].items():
-                    out = acc.setdefault(a1.merge(a2), {})
+                for a2, s2 in table[g - j].items():
+                    out = acc.setdefault(a1 + a2, {})
                     for k1, c1 in s1.items():
                         for k2, c2 in s2.items():   # ascending in k2
                             if k1 + k2 >= order:
@@ -199,13 +218,14 @@ def shifted_free_energy_from_tables(order: int) -> TraceSeries:
         log.append({a: {k: c for k, c in s.items() if c}
                     for a, s in acc.items()})
         for a, s in log[g].items():
-            low = [k for k in s if k < g - 1]
+            alpha, low = _unpack(a, width), [k for k in s if k < g - 1]
             if low:
                 k = min(low)
                 raise ValueError(
-                    f"coefficient at grade {g}, partition [{a}] diverges "
-                    f"as N grows: its N^{g - 1 - k} term is {s[k]}")
-            terms[(g, a)] = s.get(g - 1, 0)
+                    f"coefficient at grade {g}, partition [{alpha}] diverges "
+                    f"as N grows: its N^{g - 1 - k} term is "
+                    f"{Fraction(s[k], factorial(g))}")
+            terms[(g, alpha)] = Fraction(s.get(g - 1, 0), factorial(g))
     return TraceSeries(order, terms)
 
 

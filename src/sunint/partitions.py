@@ -104,16 +104,6 @@ class Partition:
         ms[q - 1] -= 1
         return Partition(ms)
 
-    def merge(self, other: Partition) -> Partition:
-        """Union of the two multisets of parts."""
-        a, b = self.multiplicities, other.multiplicities
-        if len(a) < len(b):
-            a, b = b, a
-        # the sum of two trimmed, nonnegative tuples is one: skip __init__
-        out = object.__new__(Partition)
-        out.multiplicities = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        return out
-
     # -- protocol -------------------------------------------------------------
 
     def to_string(self) -> str:

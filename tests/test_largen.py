@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,8 +17,11 @@ from sunint.largen import (
     strong_coupling_coeff,
     strong_coupling_series,
 )
-from sunint.partitions import Partition, catalan, enumerate_partitions
-from sunint.weingarten import CoeffTable
+from sunint.partitions import (Partition, catalan, class_size,
+                               enumerate_partitions)
+from sunint.su_shifted import shifted_table
+from sunint.weingarten import (MAX_WEIGHT, CoeffTable,
+                               weingarten_table_character)
 
 
 def part(text):
@@ -110,20 +113,46 @@ def test_fixedpoint_equals_closed_through_order_16():
 
 
 def test_fixedpoint_computes_one_new_grade_per_pass(monkeypatch):
-    # a deterministic count: pass g multiplies only grade-g slices, which
-    # takes 3714 merges at order 12; rerunning the whole series every pass
-    # took 14567
-    merges = 0
-    real = Partition.merge
+    # a deterministic count: pass g multiplies only grade-g slices, one
+    # grade product per power u^m still needed, which at order 12 takes 66
+    # calls and 3096 monomial products (3714 with the trace-symbol shifts
+    # of w); rerunning the whole series every pass took 14567
+    calls, products = Counter(), 0
+    real = largen._grade_product
 
-    def counted(self, other):
-        nonlocal merges
-        merges += 1
-        return real(self, other)
+    def counted(lower, w, g):
+        nonlocal products
+        calls[(id(lower), g)] += 1
+        products += sum(len(lower[g - j]) * len(w[j]) for j in range(g + 1))
+        return real(lower, w, g)
 
-    monkeypatch.setattr(Partition, "merge", counted)
+    monkeypatch.setattr(largen, "_grade_product", counted)
     fixedpoint_w_series(12)
-    assert 0 < merges <= 4000
+    assert set(calls.values()) == {1}
+    assert len(calls) == 12 * 11 // 2
+    assert 0 < products <= 4000
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 15, 16])
+def test_packed_keys_round_trip_at_the_route_width(order):
+    # [1^order] fills its field to order, which is 2^width - 1 at 7 and 15
+    width = order.bit_length()
+    for n in range(order + 1):
+        for alpha in enumerate_partitions(n):
+            key = largen._pack(alpha, width)
+            assert largen._unpack(key, width) == alpha, alpha
+    assert largen._pack(part(f"1^{order}"), width) == order
+    assert order < 1 << width
+
+
+@pytest.mark.parametrize("order", [7, 15])
+def test_fixedpoint_at_a_full_multiplicity_field(order):
+    assert (shifted_free_energy_fixedpoint(order)
+            == shifted_free_energy_closed(order))
+
+
+def test_finite_tables_limit_at_a_full_multiplicity_field():
+    assert shifted_free_energy_from_tables(7) == shifted_free_energy_closed(7)
 
 
 def test_finite_tables_limit_equals_closed_through_order_4():
@@ -178,6 +207,19 @@ def test_finite_tables_route_refuses_a_divergent_coefficient(monkeypatch):
 def test_fixedpoint_w_coefficients_are_ints():
     w = fixedpoint_w_series(12)
     assert w.terms and all(type(c) is int for c in w.terms.values())
+
+
+def test_shifted_table_expansions_are_ints():
+    # every shifted-table denominator is monic, so the long division in 1/N
+    # never leaves the integers and the finite-N log runs in ints
+    for n in range(1, 9):
+        for alpha, v in shifted_table(n).entries.items():
+            series = largen._series_in_inverse_n(v, 9)
+            assert series and all(type(c) is int for c in series.values()), (
+                n, alpha)
+    # the general case still divides exactly in Fractions
+    assert largen._series_in_inverse_n(RatFuncN(1, 2 * N + 1), 3) == {
+        1: Fraction(1, 2), 2: Fraction(-1, 4)}
 
 
 def test_lagrange_coefficient_identity():
@@ -262,3 +304,50 @@ def test_strong_coupling_series_displayed_orders():
     assert d[(4, "2^2")] == Fraction(9, 4)
     assert d[(4, "1^1 3^1")] == 5
     assert d[(4, "4^1")] == Fraction(-5, 4)
+
+
+def _mobius(alpha):
+    # the leading Weingarten coefficient of one cycle of length q is
+    # (-1)^(q-1) Cat(q-1); a permutation's is the product over its cycles
+    return prod(((-1) ** (q - 1) * catalan(q - 1)) ** m
+                for q, m in alpha.items())
+
+
+def _leading_law_misses(table, gap):
+    """The partitions whose entry is not |C_a| Mob(a) N^-gap (1 + O(1/N)),
+    with gap a function of the weight n and the part count c."""
+    return [alpha for alpha, v in table.entries.items()
+            if v.degree_gap() != gap(table.n, alpha.num_parts)
+            or Fraction(v.num.leading, v.den.leading)
+            != class_size(alpha) * _mobius(alpha)]
+
+
+def _balanced_gap(n, c):
+    return 2 * n - c
+
+
+def _shifted_gap(n, c):
+    return n - c
+
+
+def test_large_n_leading_terms_at_every_weight():
+    # the paper's large-N comparison as an exact law: both sectors share
+    # the leading coefficient |C_a| Mob(a), and the shifted entry is larger
+    # by N^n.  The balanced law is Collins's leading Weingarten term
+    # (math-ph/0205010)
+    for n in range(1, MAX_WEIGHT + 1):
+        assert _leading_law_misses(weingarten_table_character(n),
+                                   _balanced_gap) == [], n
+        assert _leading_law_misses(shifted_table(n), _shifted_gap) == [], n
+
+
+@pytest.mark.parametrize("family", ["weingarten", "su-shifted"])
+def test_large_n_law_refuses_one_changed_leading_coefficient(family):
+    build, gap = {"weingarten": (weingarten_table_character, _balanced_gap),
+                  "su-shifted": (shifted_table, _shifted_gap)}[family]
+    table, alpha = build(5), part("2^1 3^1")
+    entries = dict(table.entries)
+    # adding N^-gap moves the leading coefficient by one and nothing below
+    entries[alpha] = entries[alpha] + RatFuncN(1, N ** gap(5, 2))
+    changed = CoeffTable(n=5, family=family, entries=entries)
+    assert _leading_law_misses(changed, gap) == [alpha]

@@ -54,18 +54,6 @@ def test_partition_edits():
         p.remove_part(3)
 
 
-def test_merge_equals_partition_built_from_both_parts():
-    # merge builds its result without __init__, so check it against one
-    # __init__ builds, for every pair of partitions of weight <= 6
-    small = [a for n in range(7) for a in enumerate_partitions(n)]
-    for a, b in itertools.product(small, repeat=2):
-        merged = a.merge(b)
-        expected = Partition.from_parts(a.parts + b.parts)
-        assert type(merged) is Partition
-        assert merged.multiplicities == expected.multiplicities
-        assert hash(merged) == hash(expected)
-
-
 def test_enumeration_order_and_counts():
     assert enumerate_partitions(0) == [Partition()]
     got = [p.parts for p in enumerate_partitions(4)]
