@@ -477,48 +477,29 @@ def _over_linear_factors(num: Sequence[int], scale: int,
 # -- linear solving ----------------------------------------------------------
 #
 # Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22 (1968) 565-578)
-# over Z[N].  Each row is cleared to Z[N] by the lcm of its own coefficients'
-# denominators; the right-hand side is then scaled as one column by a common
-# denominator L, so the matrix entries keep the low degree of the cleared rows
-# (clearing the right-hand side row by row would raise every minor's degree).
-# After step c every entry below the pivots is a (c+1)-minor of the cleared
-# system, so each update divides exactly by the previous pivot, and the last
-# pivot is the determinant of the k pivot rows.  Any nonzero pivot is valid;
-# the one of least degree keeps those minors, and so the work, small.
+# over Z[N].  The matrix entries are integer polynomials, as the recursion
+# builds them, and are used as they come; the right-hand side is scaled as
+# one column by a common denominator L, so the matrix entries keep their low
+# degree (clearing the right-hand side row by row would raise every minor's
+# degree).  After step c every entry below the pivots is a (c+1)-minor of
+# [A | L b], so each update divides exactly by the previous pivot, and the
+# last pivot is the determinant of the k pivot rows.  Any nonzero pivot is
+# valid; the one of least degree keeps those minors, and so the work, small.
 #
 # The elimination runs on plain integers (Kronecker substitution, von zur
-# Gathen & Gerhard, Modern Computer Algebra, 8.4): each cleared entry p is
-# packed as p(2^bits).  p -> p(2^bits) is a ring map Z[N] -> Z, so every
-# division that is exact in Z[N] is exact on the packed integers, and the
-# products p*a - h*t need no bound.  Every value that is read back (zero
-# tests, pivot degrees, the last pivot, the Cramer numerators) is a minor of
-# the cleared [A | b] with at most one b column.  A minor of A alone has
-# 1-norm at most the product of its rows' 1-norms; one with the b column,
-# expanded along it, at most the b column's 1-norm times a product of at
-# most k row norms.  So its coefficients are at most bound = (product of the
-# k largest A-row 1-norms, zero rows skipped) * (sum of the b entries'
-# 1-norms, or 1 when b is zero).  With bits = bound.bit_length() + 2 the
-# map is injective on those values: p is read back from its balanced
-# base-2^bits digits, and its degree is abs(p(2^bits)).bit_length() // bits.
-
-
-def _lcm_den(values: Sequence[RatFuncN | PolyN | Scalar]) -> PolyN:
-    """An lcm over Q[N] of the denominators of the rational functions among
-    values (1 when there are none).  It stays in Z[N]: each denominator is
-    divided by a primitive gcd (Gauss's lemma)."""
-    out = _POLY_ONE
-    for v in values:
-        if isinstance(v, RatFuncN) and v.den.degree > 0:
-            out = out * v.den.exact_div(_primitive_gcd(out, v.den))
-    return out
-
-
-def _as_polys(values: Sequence[RatFuncN | PolyN | Scalar],
-              scale: PolyN) -> list[PolyN]:
-    """scale * v for every v, as polynomials over Q; scale must be a multiple
-    of every denominator among values."""
-    return [v.num * scale.exact_div(v.den) if isinstance(v, RatFuncN)
-            else _as_poly(v) * scale for v in values]
+# Gathen & Gerhard, Modern Computer Algebra, 8.4): each entry p is packed as
+# p(2^bits).  p -> p(2^bits) is a ring map Z[N] -> Z, so every division that
+# is exact in Z[N] is exact on the packed integers, and the products
+# p*a - h*t need no bound.  Every value that is read back (zero tests, pivot
+# degrees, the last pivot, the Cramer numerators) is a minor of [A | L b]
+# with at most one b column.  A minor of A alone has 1-norm at most the
+# product of its rows' 1-norms; one with the b column, expanded along it, at
+# most the b column's 1-norm times a product of at most k row norms.  So its
+# coefficients are at most bound = (product of the k largest A-row 1-norms,
+# zero rows skipped) * (sum of the L b entries' 1-norms, or 1 when b is
+# zero).  With bits = bound.bit_length() + 2 the map is injective on those
+# values: p is read back from its balanced base-2^bits digits, and its
+# degree is abs(p(2^bits)).bit_length() // bits.
 
 
 def _unpack(v: int, bits: int) -> PolyN:
@@ -535,28 +516,22 @@ def _unpack(v: int, bits: int) -> PolyN:
     return PolyN(out)
 
 
-def _norm(polys: Iterable[PolyN]) -> int:
-    """The sum of the absolute values of all coefficients of polys."""
-    return sum(abs(c) for p in polys for c in p.coeffs)
-
-
-def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
+def solve_linear_system(rows: Sequence[Sequence[PolyN | int]],
                         rhs: Sequence[RatFuncN | PolyN | Scalar],
                         ) -> list[RatFuncN]:
     """Solve A x = b exactly over the field of rational functions of N.
 
-    The system may be overdetermined (rows >= columns); it must have full
-    column rank and every redundant row must be satisfied identically, else
+    Each entry of A must be an int or a PolyN with int coefficients; any
+    other entry (a Fraction, a RatFuncN, a float, a bool) raises TypeError
+    before any work is done.  b may hold any value of Q(N).  The system may
+    be overdetermined (rows >= columns); it must have full column rank and
+    every redundant row must be satisfied identically, else
     RankDeficientError / InconsistentSystemError is raised.
 
-    The rows are cleared to Z[N] and eliminated fraction-free on their
-    values at N = 2^bits (see the section comment), so every result is exact
-    by construction.  Every value read back is a minor of the cleared
-    [A | b] with at most one b column, so its coefficients are bounded by
-    the product of the k largest A-row 1-norms times the 1-norm of b, and
-    bits is wide enough to read them back.  A column with no nonzero pivot
-    means rank below k over Q(N); a nonzero right-hand side left in a
-    redundant row means the system is inconsistent.
+    b is scaled into Z[N] as one column by the lcm L of its denominators,
+    and [A | L b] is eliminated fraction-free on its values at N = 2^bits,
+    with bits wide enough to read back every minor (see the section
+    comment), so every result is exact by construction.
     """
     m = len(rows)
     if m == 0 or len(rhs) != m:
@@ -564,26 +539,31 @@ def solve_linear_system(rows: Sequence[Sequence[RatFuncN | PolyN | Scalar]],
     k = len(rows[0])
     if any(len(row) != k for row in rows):
         raise ValueError("ragged coefficient matrix")
+    entries = [[a.coeffs if isinstance(a, PolyN) else (a,) for a in row]
+               for row in rows]
+    if any(type(c) is not int for row in entries for cs in row for c in cs):
+        raise TypeError("matrix entries must be int or PolyN with int "
+                        "coefficients")
     if m < k:
         raise RankDeficientError(f"{m} rows cannot determine {k} unknowns")
 
-    cleared_rows = []
-    col = []
-    for row, b in zip(rows, rhs):
-        # s is made integral with the row, so b * s stays on the row's scale
-        s = _lcm_den(row)
-        *cleared, s = _primitive([*_as_polys(row, s), s])
-        cleared_rows.append(cleared)
-        col.append(b * s)
-    scale = _lcm_den(col)
-    *col, scale = _primitive([*_as_polys(col, scale), scale])
+    # L: an lcm over Q[N] of b's denominators, kept in Z[N] by dividing each
+    # denominator by a primitive gcd (Gauss's lemma); L b and L are then
+    # made primitive together
+    scale = _POLY_ONE
+    for b in rhs:
+        if isinstance(b, RatFuncN):
+            scale = scale * b.den.exact_div(_primitive_gcd(scale, b.den))
+    *col, scale = _primitive([
+        *(b.num * scale.exact_div(b.den) if isinstance(b, RatFuncN)
+          else _as_poly(b) * scale for b in rhs), scale])
 
-    norms = sorted(_norm(row) for row in cleared_rows)
-    bound = prod(v for v in norms[-k:] if v) * (_norm(col) or 1)
+    norms = sorted(sum(abs(c) for cs in row for c in cs) for row in entries)
+    bound = prod(v for v in norms[-k:] if v) * (
+        sum(abs(c) for b in col for c in b.coeffs) or 1)
     bits = bound.bit_length() + 2
-    point = 1 << bits
-    mat = [[p(point) for p in row] + [b(point)]
-           for row, b in zip(cleared_rows, col)]
+    mat = [[sum(c << i * bits for i, c in enumerate(cs))
+            for cs in (*row, b.coeffs)] for row, b in zip(entries, col)]
 
     prev = 1
     for c in range(k):

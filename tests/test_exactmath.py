@@ -501,8 +501,8 @@ def test_solver_recovers_known_solution():
         rows = []
         rhs = []
         while len(rows) < k + 2:          # overdetermined by two rows
-            row = [RatFuncN(PolyN([rng.randint(-3, 3)
-                                   for _ in range(rng.randint(1, 3))]))
+            row = [PolyN([rng.randint(-3, 3)
+                          for _ in range(rng.randint(1, 3))])
                    for _ in range(k)]
             rows.append(row)
             acc = RatFuncN(0)
@@ -517,12 +517,21 @@ def test_solver_recovers_known_solution():
 
 
 def test_solver_mixed_scalar_entries():
-    # entries may be ints, Fractions, PolyN, or RatFuncN
-    x = solve_linear_system(
-        [[1, Fraction(1, 2)], [N, RatFuncN(1, N)]],
-        [Fraction(3, 2), RatFuncN(N**2 + 1, N)])
-    assert x[0] == 1
-    assert x[1] == 1
+    # matrix entries are ints or integer PolyN; anything else is refused
+    # before any work, here ahead of the too-few-rows RankDeficientError
+    for bad in (Fraction(1, 2), RatFuncN(1, N), 0.5, True,
+                PolyN([Fraction(1, 2)])):
+        with pytest.raises(TypeError, match="int coefficients"):
+            solve_linear_system([[N, bad]], [1])
+        with pytest.raises(TypeError, match="int coefficients"):
+            solve_linear_system([[N, 1], [1, bad]], [1, 2])
+    # the right-hand side may mix ints, Fractions, PolyN and RatFuncN (a
+    # constant denominator included); the last row has content 2
+    x, y = solve_linear_system(
+        [[0, 2], [0, 1], [N, 2 * N], [0, N], [6, 4 * N]],
+        [1, Fraction(1, 2), N + 1, RatFuncN(N, 2),
+         RatFuncN(2 * N**2 + 6, N)])
+    assert (x, y) == (RatFuncN(1, N), RatFuncN(1, 2))
 
 
 def test_solver_rank_deficient_systems():
@@ -552,21 +561,25 @@ def test_solver_inconsistent_systems():
 
 
 def test_solver_skips_rank_drops_and_poles():
-    # the matrix is singular at N = 1 and N = 2 and the entries have poles
-    # at N = 1, 2, 3; neither matters to a solution over Q(N)
+    # the matrix is singular at N = 1 and N = 2, where the solution has its
+    # poles; neither matters to a solution over Q(N)
     (x,) = solve_linear_system([[(N - 1) * (N - 2)]], [1])
     assert x == RatFuncN(1, (N - 1) * (N - 2))
+    # rows with poles at N = 1 and N = 3, each cleared with its right-hand
+    # side by its own denominator
     x, y = solve_linear_system(
-        [[RatFuncN(1, N - 1), 1], [1, RatFuncN(N, N - 3)], [2, 2]],
-        [RatFuncN(N, N - 1), RatFuncN(2 * N - 3, N - 3), 4])
+        [[1, N - 1], [N - 3, N], [2, 2]], [N, 2 * N - 3, 4])
     assert (x, y) == (RatFuncN(1), RatFuncN(1))
-    # entries and solution share the poles N = +-2
+    # matrix and solution share the poles N = +-2
     (x,) = solve_linear_system([[N**2 - 4], [N + 2]], [N + 1, RatFuncN(
         N + 1, N - 2)])
     assert x == RatFuncN(N + 1, N**2 - 4)
 
 
 _POLE_FACTORS = [N, N - 1, N - 2, N + 1, N + 3, N**2 + 1]
+# common factors of whole rows, a pole factor or a content above 1: the
+# solver keeps each row as given, so every minor carries them
+_ROW_FACTORS = _POLE_FACTORS + [PolyN([2]), PolyN([-6])]
 
 
 def _times(rows, x):
@@ -582,8 +595,8 @@ def _times(rows, x):
 
 @st.composite
 def _known_system(draw):
-    """A random full-rank overdetermined system with a known solution whose
-    entries may have poles at N = 0, 1, 2."""
+    """A random full-rank overdetermined integer-polynomial system with a
+    known solution whose entries may have poles at N = 0, 1, 2."""
     small = st.integers(-3, 3)
     k = draw(st.integers(1, 4))
     extra = draw(st.integers(1, 2))
@@ -608,7 +621,8 @@ def _known_system(draw):
                      for j in range(k)])
     for _ in range(extra):
         rows.append([poly(2) for _ in range(k)])
-    # mix rows and give some of them rational entries; rank is unchanged
+    # mix rows and give some of them a common factor, which the solver
+    # does not divide out; rank is unchanged
     for i in range(len(rows)):
         j = draw(st.integers(0, len(rows) - 1))
         c = draw(small)
@@ -616,8 +630,8 @@ def _known_system(draw):
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     for i in range(len(rows)):
         if draw(st.booleans()):
-            div = draw(st.sampled_from(_POLE_FACTORS))
-            rows[i] = [RatFuncN(a, div) for a in rows[i]]
+            factor = draw(st.sampled_from(_ROW_FACTORS))
+            rows[i] = [a * factor for a in rows[i]]
     order = draw(st.permutations(range(len(rows))))
     rows = [rows[i] for i in order]
     return rows, _times(rows, target), target
@@ -636,10 +650,11 @@ _WIDE = st.integers(-2**80, 2**80)
 
 @st.composite
 def _wide_system(draw):
-    """A full-rank system at the packed solver's width: signed coefficients
-    up to 2^80, entries of degree up to 6, rows of zeros among the rows, and
-    a known solution with large coefficients (all zero at times), so the
-    right-hand sides are large-coefficient rational functions."""
+    """A full-rank integer-polynomial system at the packed solver's width:
+    signed coefficients up to 2^80, entries of degree up to 6, rows of zeros
+    and rows with a common factor among the rows, and a known solution with
+    large coefficients (all zero at times), so the right-hand sides are
+    large-coefficient rational functions."""
     k = draw(st.integers(1, 3))
 
     def poly(max_deg):
@@ -662,8 +677,8 @@ def _wide_system(draw):
     rows += [[PolyN()] * k for _ in range(draw(st.integers(0, 2)))]
     for i in range(len(rows)):
         if draw(st.booleans()):
-            div = draw(st.sampled_from(_POLE_FACTORS))
-            rows[i] = [RatFuncN(a, div) for a in rows[i]]
+            factor = draw(st.sampled_from(_ROW_FACTORS))
+            rows[i] = [a * factor for a in rows[i]]
     order = draw(st.permutations(range(len(rows))))
     rows = [rows[i] for i in order]
     return rows, _times(rows, target), target
