@@ -16,6 +16,14 @@ order, so every estimate is bit-identical for any worker count.  A worker
 takes its batch in chunks of about 2**15 entries, 512 KB per array, so an
 SU(32) call of 1000 samples on two workers traces a peak of 4.6 MB.
 
+Each thread that draws holds one working set for one estimator call, in a
+``threading.local`` that ``_estimate`` makes per call.  Every chunk's
+Ginibre draw and, up to ``_CGS2_MAX_N``, CGS2's columns and their
+conjugates are written into it with ``out=``, and each chunk's trace
+columns go straight into its batch's result.  ``np.linalg.qr`` (N >= 8)
+and ``np.linalg.det`` (SU(N), N >= 4) still allocate per chunk; the README
+says what each path gains.
+
 ``estimate_trace_moment`` keeps the per-sample (tr KU, tr J U-dagger)
 columns of its last call's batches of index below 2**19 / (2 * batch
 size), 8 MB, keyed by group, N, seed, samples and the bytes of J and K.
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from math import factorial, isfinite, prod, sqrt
@@ -200,8 +209,22 @@ def sample_haar(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     return _haar_batch(spec, 1, rng)[0]
 
 
-def _haar_batch(spec: GroupSpec, count: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _buffer(scratch: dict | None, name: str, shape: tuple,
+            dtype: type = complex) -> np.ndarray:
+    """An array of the given shape whose contents are undefined: a view of
+    scratch's buffer of that name, grown when it is too small, or a fresh
+    array when scratch is None."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    size = prod(shape)
+    buffer = scratch.get(name)
+    if buffer is None or len(buffer) < size:
+        buffer = scratch[name] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _haar_batch(spec: GroupSpec, count: int, rng: np.random.Generator,
+                scratch: dict | None = None) -> np.ndarray:
     """(count, N, N) stack of independent Haar samples.
 
     The Ginibre matrices are one standard_normal((count, N, N, 2)) draw
@@ -212,14 +235,20 @@ def _haar_batch(spec: GroupSpec, count: int,
     ``_cgs2``; above it by LAPACK QR with the R diagonal phase pushed back
     into Q, since raw QR is not Haar without that fix.  The special unitary
     projection divides by the principal N-th root of the determinant,
-    exp(i arg(det Q) / N) since |det Q| = 1.  Both scale a fresh Q in place.
+    exp(i arg(det Q) / N) since |det Q| = 1.  Both scale Q in place.  The
+    draw and CGS2's Q are written into the buffers of scratch (see
+    ``_buffer``), so with a scratch the stack is valid only until the next
+    call with it.
     """
     dim = spec.N
     if spec.group == SPECIAL_UNITARY and dim == 1:
         return np.ones((count, 1, 1), dtype=complex)
-    z = rng.standard_normal((count, dim, dim, 2)).view(np.complex128)[..., 0]
+    shape = (count, dim, dim, 2)
+    # size= as well as out=: a subclass may read the size of the draw
+    z = rng.standard_normal(size=shape, out=_buffer(
+        scratch, "ginibre", shape, np.float64)).view(np.complex128)[..., 0]
     if dim <= _CGS2_MAX_N:
-        q = _cgs2(z)
+        q = _cgs2(z, scratch)
     else:
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -229,15 +258,16 @@ def _haar_batch(spec: GroupSpec, count: int,
     return q
 
 
-def _cgs2(z: np.ndarray) -> np.ndarray:
+def _cgs2(z: np.ndarray, scratch: dict | None = None) -> np.ndarray:
     """Q of the factorization Z = QR whose R has a positive diagonal, by
     classical Gram-Schmidt run twice over the columns of each matrix.  The
     second pass restores orthogonality to rounding ("twice is enough",
     Giraud, Langou and Rozloznik 2005), and the positive diagonal makes Q
-    Haar with no phase fix (Mezzadri, math-ph/0609050)."""
+    Haar with no phase fix (Mezzadri, math-ph/0609050).  Q's columns and
+    their conjugates are written into the buffers of scratch."""
     count, dim, _ = z.shape
-    cols = np.empty_like(z)    # cols[:, k] is column k of Q
-    conj = np.empty_like(z)
+    cols = _buffer(scratch, "cols", z.shape)    # cols[:, k] is column k of Q
+    conj = _buffer(scratch, "conj", z.shape)
     for k in range(dim):
         v = z[:, :, k]
         for _ in range(2 if k else 0):
@@ -267,32 +297,42 @@ def _batch_size(dim: int) -> int:
     return max(1, min(BATCH, _BATCH_ENTRIES // dim ** 2))
 
 
-def _keyed_batch(spec: GroupSpec, seed: int, index: int, count: int,
-                 values_of: Callable) -> np.ndarray:
-    """values_of over the first count samples of batch index, drawn from the
-    batch's own Philox stream in near-equal chunks of about _CHUNK_ENTRIES
-    entries; the chunks continue the stream, so they are one draw."""
+def _keyed_batch(spec: GroupSpec, seed: int, index: int, out: np.ndarray,
+                 values_of: Callable[[np.ndarray, np.ndarray], None],
+                 scratch: dict) -> np.ndarray:
+    """out, filled by values_of over the first count samples of batch index,
+    count the length of out's last axis.  They are drawn from the batch's
+    own Philox stream in near-equal chunks of about _CHUNK_ENTRIES entries,
+    and the chunks continue the stream, so they are one draw.  values_of(u,
+    part) writes the values of the chunk's (k, N, N) stack u into part, the
+    chunk's k positions of out's last axis.  u lives in the buffers of
+    scratch: it is valid only until values_of returns."""
+    count = out.shape[-1]
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
     parts = min(count, -(-count * spec.N ** 2 // _CHUNK_ENTRIES))
-    return np.concatenate([values_of(_haar_batch(
-        spec, (k + 1) * count // parts - k * count // parts, rng))
-        for k in range(parts)])
+    for k in range(parts):
+        start, stop = k * count // parts, (k + 1) * count // parts
+        values_of(_haar_batch(spec, stop - start, rng, scratch),
+                  out[..., start:stop])
+    return out
 
 
 def _estimate(spec: GroupSpec, samples: int, seed: int,
-              batch_values: Callable[[int, int], np.ndarray],
+              batch_values: Callable[[int, int, dict], np.ndarray],
               ready: frozenset = frozenset()) -> MCEstimate:
-    """Mean over samples 0..samples-1 of batch_values(index, count), the
-    values of batch index's first count samples, as a fresh array that is
-    reduced in place.  The batches in ready have their values without a
-    draw, and are reduced on the calling thread, one pass each: a call
-    with every batch ready starts no thread and costs about its arithmetic
-    alone.  When two or more batches must be drawn, they run meanwhile on
-    a pool of min(cores, those batches) threads.  The batch moments are
-    merged in batch order whatever thread made them, so the estimate is
-    the same for any worker count."""
+    """Mean over samples 0..samples-1 of batch_values(index, count,
+    scratch), the values of batch index's first count samples, as a fresh
+    array that is reduced in place; scratch is the working set of the
+    thread that runs it, for this call only.  The batches in ready have
+    their values without a draw, and are reduced on the calling thread, one
+    pass each: a call with every batch ready starts no thread and costs
+    about its arithmetic alone.  When two or more batches must be drawn,
+    they run meanwhile on a pool of min(cores, those batches) threads.  The
+    batch moments are merged in batch order whatever thread made them, so
+    the estimate is the same for any worker count."""
     size = _batch_size(spec.N)
     batches = -(-samples // size)
+    workspace = threading.local()    # made per call: no buffer outlives it
 
     def moments(index: int) -> tuple[int, complex, float, float]:
         """(count, mean, M2 of the real parts, M2 of the imaginary parts)."""
@@ -300,7 +340,7 @@ def _estimate(spec: GroupSpec, samples: int, seed: int,
         # errstate holds per thread, so it is set where the batch runs;
         # values beyond double range become inf or nan and merged refuses them
         with np.errstate(over="ignore", invalid="ignore"):
-            values = batch_values(index, count)
+            values = batch_values(index, count, vars(workspace))
             mean = complex(values.mean())
             values -= mean
             squares = values.view(np.float64)    # re, im, re, im, ...
@@ -377,14 +417,21 @@ def _power(x: np.ndarray, e: int) -> np.ndarray:
     return x ** e
 
 
-def _trace_columns(src: SourceMatrices, u: np.ndarray) -> np.ndarray:
-    """(count, 2) array of tr KU and tr J U-dagger for each matrix of the
-    stack u.  einsum sums a lone matrix of over 8192 entries (N >= 91) in
-    another order than a stack, so a lone matrix is given a twin: each
-    sample's value does not depend on the samples beside it."""
-    stack = u if len(u) > 1 else np.concatenate([u, u])
-    return np.stack([np.einsum("ij,bji->b", src.K, stack), np.conj(
-        np.einsum("ij,bij->b", np.conj(src.J), stack))], axis=1)[:len(u)]
+def _trace_columns(src: SourceMatrices, u: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write tr KU and tr J U-dagger for each matrix of the stack u into
+    the rows of out, (2, count).  einsum sums a lone matrix of over 8192
+    entries (N >= 91) in another order than a stack, so a lone matrix is
+    given a twin: each sample's value does not depend on the samples beside
+    it."""
+    if len(u) == 1:
+        twin = np.empty((2, 2), dtype=complex)
+        _trace_columns(src, np.concatenate([u, u]), twin)
+        out[:] = twin[:, :1]
+        return
+    np.einsum("ij,bji->b", src.K, u, out=out[0])
+    np.einsum("ij,bij->b", np.conj(src.J), u, out=out[1])
+    np.conjugate(out[1], out=out[1])
 
 
 def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
@@ -405,11 +452,12 @@ def estimate_trace_moment(p: int, n: int, src: SourceMatrices,
     if kept_key != key:
         _kept = (key, (kept := {}))
 
-    def batch_values(index: int, count: int) -> np.ndarray:
+    def batch_values(index: int, count: int, scratch: dict) -> np.ndarray:
         traces = kept.get(index)
         if traces is None:
-            traces = _keyed_batch(spec, seed, index, count,
-                                  lambda u: _trace_columns(src, u)).T.copy()
+            traces = _keyed_batch(
+                spec, seed, index, np.empty((2, count), dtype=complex),
+                lambda u, out: _trace_columns(src, u, out), scratch)
             if index < _BATCH_ENTRIES // (2 * _batch_size(spec.N)):
                 kept[index] = traces
         # a product is a fresh array: the kept columns are never reduced
@@ -434,16 +482,20 @@ def estimate_monomial(i: Sequence[int], j: Sequence[int],
             raise ValueError("index out of range")
     check_sampling(samples, seed)
 
-    def values_of(u: np.ndarray) -> np.ndarray:
+    def values_of(u: np.ndarray, out: np.ndarray) -> None:
+        # not out *= ...: numpy multiplies one complex pair in place with
+        # another rounding than out of place
         values = np.ones(u.shape[0], dtype=complex)
         for a, b in zip(i, j):
             values = values * u[:, a - 1, b - 1]
         for a, b in zip(k, l):
             values = values * np.conj(u[:, b - 1, a - 1])
-        return values
+        out[:] = values
 
-    return _estimate(spec, samples, seed, lambda index, count: _keyed_batch(
-        spec, seed, index, count, values_of))
+    return _estimate(
+        spec, samples, seed, lambda index, count, scratch: _keyed_batch(
+            spec, seed, index, np.empty(count, dtype=complex), values_of,
+            scratch))
 
 
 def compare(est: MCEstimate, exact: complex, sigmas: float = 5.0) -> dict:

@@ -2,14 +2,17 @@
 
 import ast
 import concurrent.futures
+import gc
 import importlib.util
 import json
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +44,14 @@ EXACT_MODULES = ("exactmath", "partitions", "weingarten", "su_shifted",
                  "largen", "reference")
 
 
-def _matrices(spec, seed, index, count):
-    """The first count Haar matrices of batch index."""
-    return _keyed_batch(spec, seed, index, count, lambda u: u)
+def _matrices(spec, seed, index, count, scratch=None):
+    """The first count Haar matrices of batch index, each chunk copied out
+    of the working set before the next chunk is drawn into it."""
+    chunks = []
+    _keyed_batch(spec, seed, index, np.empty(count),
+                 lambda u, out: chunks.append(u.copy()),
+                 {} if scratch is None else scratch)
+    return np.concatenate(chunks)
 
 
 def _fresh(call):
@@ -242,12 +250,113 @@ def test_chunked_batch_is_one_draw(group, dim):
     # single draw of the whole batch, bit for bit
     spec = GroupSpec(group, dim)
     size = _batch_size(dim)
-    chunks = _keyed_batch(spec, 13, 4, size, lambda u: [len(u)])
+    chunks = []
+    _keyed_batch(spec, 13, 4, np.empty(size),
+                 lambda u, out: chunks.append(len(u)), {})
+    chunks = np.array(chunks)
     assert chunks.sum() == size and chunks.min() >= 1
     assert chunks.max() * dim ** 2 <= haar_mc._CHUNK_ENTRIES + dim ** 2
     one = _haar_batch(spec, size, np.random.Generator(
         np.random.Philox(key=(13 << 64) + 4)))
     assert (_matrices(spec, 13, 4, size) == one).all()
+
+
+def _fresh_array_matrices(spec, seed, index, count):
+    """The first count matrices of batch index built from fresh arrays: one
+    standard_normal((count, N, N, 2)) draw on the batch's stream, then the
+    sampler's orthonormalization and SU projection."""
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    dim = spec.N
+    z = rng.standard_normal((count, dim, dim, 2)).view(np.complex128)[..., 0]
+    q = _cgs2(z) if dim <= _CGS2_MAX_N else _phase_fixed_qr(z)
+    if spec.group == SPECIAL_UNITARY:
+        q = q * np.exp(-1j / dim * np.angle(haar_mc._det(q)))[:, None, None]
+    return np.ascontiguousarray(q)
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [2, 3, 7, 8, 16, 32])
+def test_reused_buffers_never_leak_stale_data(monkeypatch, group, dim):
+    # one working set serves every chunk of several batches, of unequal
+    # sizes, after a batch at another N has filled it: a chunk that read
+    # anything it had not written itself would differ in some bit from the
+    # same samples built from fresh arrays. 2**13 entries cut each whole
+    # batch into 4 (N = 2) to 64 chunks
+    monkeypatch.setattr(haar_mc, "_CHUNK_ENTRIES", 2 ** 13)
+    spec = GroupSpec(group, dim)
+    size = _batch_size(dim)
+    scratch = {}
+    _matrices(GroupSpec(group, 5), 9, 0, _batch_size(5), scratch)
+    for index, count in ((4, size), (5, size // 2 + 3), (6, size)):
+        u = _matrices(spec, 9, index, count, scratch)
+        assert u.tobytes() == _fresh_array_matrices(
+            spec, 9, index, count).tobytes(), (index, count)
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [3, 8])
+def test_sample_haar_returns_an_owned_matrix(group, dim):
+    # a later draw must not write into a matrix already handed out
+    spec = GroupSpec(group, dim)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    first = sample_haar(spec, rng)
+    before = first.copy()
+    second = sample_haar(spec, rng)
+    assert first.tobytes() == before.tobytes()
+    assert (second != first).any()
+
+
+def test_every_draw_states_its_size(monkeypatch):
+    # a Generator subclass that counts normals from size, as the
+    # benchmark's counter does, sees every normal a call draws
+    src = random_source_matrices(3, 1)
+    sizes = []
+
+    class Counting(np.random.Generator):
+        def standard_normal(self, size=None, *args, **kwargs):
+            sizes.append(size)
+            return super().standard_normal(size, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    _fresh(lambda: estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 3),
+                                         1000, 1))
+    assert sum(prod(size) for size in sizes) == 1000 * 2 * 3 ** 2
+
+
+def test_no_working_set_outlives_a_call(monkeypatch):
+    # each thread's buffers live for one estimator call: none is reachable
+    # after it, and the module's globals hold no array and no thread-local
+    # store except the documented kept trace columns
+    buffers = []
+    grow = haar_mc._buffer
+
+    def recorded(scratch, name, shape, dtype=complex):
+        view = grow(scratch, name, shape, dtype)
+        if scratch is not None:
+            buffers.append(weakref.ref(scratch[name]))
+        return view
+
+    def holds_state(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list, set, frozenset)):
+            return any(map(holds_state, value))
+        return isinstance(value, (np.ndarray, threading.local))
+
+    monkeypatch.setattr(haar_mc, "_buffer", recorded)
+    for cores in (1, 2):
+        monkeypatch.setattr(haar_mc, "_CORES", cores)
+        for dim in (3, 8):    # the CGS2 path, then the QR path
+            spec = GroupSpec(SPECIAL_UNITARY, dim)
+            src = random_source_matrices(dim, 3)
+            samples = 2 * _batch_size(dim) + 5
+            _fresh(lambda: estimate_trace_moment(1, 1, src, spec, samples,
+                                                 3))
+            estimate_monomial([1], [2], [2], [1], spec, samples, 3)
+    gc.collect()
+    assert buffers and all(ref() is None for ref in buffers)
+    assert [name for name, value in vars(haar_mc).items()
+            if name != "_kept" and holds_state(value)] == []
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
@@ -348,7 +457,7 @@ def test_batch_merge_matches_exact_two_pass(monkeypatch, cores):
     size = _batch_size(16)
     samples = 2 * size + 37
 
-    def batch_values(index, count):
+    def batch_values(index, count, scratch=None):
         # a generator per call, so the values do not depend on the thread
         rng = np.random.default_rng(index)
         shift = (index + 1) * complex(3, -2)
@@ -459,15 +568,16 @@ def test_lone_sample_gets_its_stacked_traces(dim):
     spec = GroupSpec(UNITARY, dim)
     src = random_source_matrices(dim, 2)
 
-    def columns(u):
-        return haar_mc._trace_columns(src, u)
+    def columns(u, out):
+        haar_mc._trace_columns(src, u, out)
 
-    one = _keyed_batch(spec, 2, 4, 1, columns)
+    one = _keyed_batch(spec, 2, 4, np.empty((2, 1), dtype=complex), columns,
+                       {})
     # the traces of the batch's first three samples taken as one stack
-    three = columns(_matrices(spec, 2, 4, 3))
-    assert one.shape == (1, 2)
-    for column in range(2):
-        assert one[0, column] == three[0, column], column
+    three = np.empty((2, 3), dtype=complex)
+    columns(_matrices(spec, 2, 4, 3), three)
+    for row in range(2):
+        assert one[row, 0] == three[row, 0], row
 
 
 def test_kept_columns_are_bounded(monkeypatch):
@@ -652,7 +762,8 @@ def _two_batch_means(low, high):
     first equal to low and of the second to high."""
     return haar_mc._estimate(
         GroupSpec(UNITARY, 16), 2 * _batch_size(16), 0,
-        lambda index, count: np.full(count, (low, high)[index], dtype=complex))
+        lambda index, count, scratch: np.full(count, (low, high)[index],
+                                              dtype=complex))
 
 
 @pytest.mark.parametrize("call, message", [
