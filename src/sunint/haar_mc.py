@@ -7,22 +7,23 @@ Sampling is counter-based.  Samples come in batches of ``_batch_size(N)``
 matrices: ``BATCH``, or fewer at large N so that one batch holds about
 2**19 matrix entries (2048 samples at N = 16, 512 at N = 32).  Batch b is
 drawn from its own Philox stream keyed by (seed << 64) + b, as one
-standard_normal((count, N, N, 2)) array, so its first k samples are the
-same whether k or the whole batch is drawn, and only the samples asked for
-are drawn.  The value of sample s therefore depends only on (seed, N, s),
-not on how many samples were requested.  Batches run on a thread pool of
-at most one worker per visible core, and their moments are merged in batch
-order, so every estimate is bit-identical for any worker count.  A worker
-takes its batch in chunks of about 2**15 entries, 512 KB per array, so an
-SU(32) call of 1000 samples on two workers traces a peak of 4.6 MB.
+standard_normal array of N(N+1) normals per sample up to
+``_REFLECTOR_MAX_N`` (Householder reflectors, see ``_haar_batch``) and 2N**2
+above it (LAPACK QR), so its first k samples are the same whether k or the
+whole batch is drawn, and only the samples asked for are drawn.  The value
+of sample s therefore depends only on (seed, N, s), not on how many
+samples were requested.  Batches run on a thread pool of at most one
+worker per visible core, and their moments are merged in batch order, so
+every estimate is bit-identical for any worker count.  A worker takes its
+batch in chunks of about 2**15 entries, 512 KB per array, so an SU(32)
+call of 1000 samples on two workers traces a peak of 4.6 MB.
 
 Each thread that draws holds one working set for one estimator call, in a
-``threading.local`` that ``_estimate`` makes per call.  Every chunk's
-Ginibre draw and, up to ``_CGS2_MAX_N``, CGS2's columns and their
-conjugates are written into it with ``out=``, and each chunk's trace
-columns go straight into its batch's result.  ``np.linalg.qr`` (N >= 8)
-and ``np.linalg.det`` (SU(N), N >= 4) still allocate per chunk; the README
-says what each path gains.
+``threading.local`` that ``_estimate`` makes per call.  Every chunk's draw
+and, up to ``_REFLECTOR_MAX_N``, its Q and the reflectors' rank-1 products
+are written into it, and each chunk's trace columns go straight into its
+batch's result.  Above it ``np.linalg.qr`` and, for SU(N),
+``np.linalg.det`` still allocate per chunk.
 
 ``estimate_trace_moment`` keeps the per-sample (tr KU, tr J U-dagger)
 columns of its last call's batches of index below 2**19 / (2 * batch
@@ -56,7 +57,7 @@ from .weingarten import _class_function
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
 _CHUNK_ENTRIES = 2 ** 15         # 512 KB arrays: a worker's ~4 fit a 2 MB L2
-_CGS2_MAX_N = 7                  # measured crossover, see BENCH_8_sampler.json
+_REFLECTOR_MAX_N = 24            # measured, BENCH_36_reflectors.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
 # an N = 128 file, the sampling cap, is 2.2 MB with indent=2 and 2.9 MB with
@@ -225,72 +226,71 @@ def _buffer(scratch: dict | None, name: str, shape: tuple,
 
 def _haar_batch(spec: GroupSpec, count: int, rng: np.random.Generator,
                 scratch: dict | None = None) -> np.ndarray:
-    """(count, N, N) stack of independent Haar samples.
+    """(count, N, N) stack of independent Haar samples: the Q of Ginibre
+    matrices' QR factorization whose R has a positive diagonal, Haar only
+    with that phase fix (Mezzadri, math-ph/0609050).
 
-    The Ginibre matrices are one standard_normal((count, N, N, 2)) draw
-    viewed as complex, so the first k of them do not depend on count; with
-    the per-N batch of ``_batch_size`` and the per-batch streams of
-    ``_keyed_batch``, sample s depends only on (seed, N, s), and on no
-    worker count.  Up to ``_CGS2_MAX_N`` they are orthonormalized by
-    ``_cgs2``; above it by LAPACK QR with the R diagonal phase pushed back
-    into Q, since raw QR is not Haar without that fix.  The special unitary
-    projection divides by the principal N-th root of the determinant,
-    exp(i arg(det Q) / N) since |det Q| = 1.  Both scale Q in place.  The
-    draw and CGS2's Q are written into the buffers of scratch (see
+    Up to ``_REFLECTOR_MAX_N`` no Ginibre matrix is drawn.  Householder's
+    step k maps the column in its way to -e^(i theta_k) |x_k| e_1, and the
+    reflector depends on that column alone, so the trailing block it leaves
+    is a fresh Ginibre block (Stewart, SIAM J. Numer. Anal. 17 (1980) 403):
+    each sample takes N(N+1)/2 complex normals, vectors x_k of length N - k,
+    k = 0..N-1, one after another.  With e^(i theta_k) = x_k1 / |x_k1| and
+    w_k = x_k + e^(i theta_k) |x_k| e_1, Q = H_0 ... H_(N-2) D, where H_k =
+    1 - 2 w_k w_k^H / |w_k|^2 and D = diag(-e^(i theta_0), ...,
+    -e^(i theta_(N-2)), e^(i theta_(N-1))) holds R's diagonal phases.  Each
+    H_k has determinant -1, so det Q is the product of the e^(i theta_k).
+    Above it LAPACK QR of one standard_normal((count, N, N, 2)) draw is
+    faster, with R's diagonal phases pushed into Q.  The special unitary
+    projection divides by the principal N-th root of det Q, exp(i arg(det
+    Q) / N); on the reflector path it scales D.
+
+    The first k samples do not depend on count; with the per-N batch of
+    ``_batch_size`` and the per-batch streams of ``_keyed_batch``, sample s
+    depends only on (seed, N, s), and on no worker count.  The draw and the
+    reflector path's Q are written into the buffers of scratch (see
     ``_buffer``), so with a scratch the stack is valid only until the next
     call with it.
     """
     dim = spec.N
     if spec.group == SPECIAL_UNITARY and dim == 1:
         return np.ones((count, 1, 1), dtype=complex)
-    shape = (count, dim, dim, 2)
+    qr = dim > _REFLECTOR_MAX_N
+    shape = (count, dim, dim, 2) if qr else (count, dim * (dim + 1) // 2, 2)
     # size= as well as out=: a subclass may read the size of the draw
-    z = rng.standard_normal(size=shape, out=_buffer(
-        scratch, "ginibre", shape, np.float64)).view(np.complex128)[..., 0]
-    if dim <= _CGS2_MAX_N:
-        q = _cgs2(z, scratch)
-    else:
-        q, r = np.linalg.qr(z)
+    g = rng.standard_normal(size=shape, out=_buffer(
+        scratch, "ginibre", shape, np.float64))
+    x = g.view(np.complex128)[..., 0]
+    if qr:
+        q, r = np.linalg.qr(x)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         q *= (diag / np.abs(diag))[:, None, :]
+        if spec.group == SPECIAL_UNITARY:
+            q *= np.exp(-1j / dim * np.angle(np.linalg.det(q)))[:, None, None]
+        return q
+    starts = [k * dim - k * (k - 1) // 2 for k in range(dim)]
+    lead = np.abs(x[:, starts])             # |x_k1|
+    q = _buffer(scratch, "haar", (count, dim, dim))
+    q[:] = 0
+    d = q.reshape(count, -1)[:, ::dim + 1]    # the diagonal of q
+    np.divide(x[:, starts], lead, out=d)    # e^(i theta_k)
     if spec.group == SPECIAL_UNITARY:
-        q *= np.exp(-1j / dim * np.angle(_det(q)))[:, None, None]
+        det = d[:, 0]    # np.prod multiplies a lone row in another order
+        for k in range(1, dim):
+            det = det * d[:, k]
+        d *= np.exp(-1j / dim * np.angle(det))[:, None]
+    np.negative(d[:, :-1], out=d[:, :-1])
+    for k in range(dim - 2, -1, -1):    # H_k acts on the trailing block
+        start, size = starts[k], dim - k
+        block, gk = q[:, k:, k:], g[:, start:start + size]
+        norm = np.sqrt(np.einsum("bij,bij->b", gk, gk))
+        w = x[:, start:start + size]    # x_k becomes w_k in place
+        w[:, 0] = w[:, 0] * (1 + norm / lead[:, k])
+        v = np.matmul(w.conj()[:, None, :], block)
+        v /= (norm * (norm + lead[:, k]))[:, None, None]    # |w_k|^2 / 2
+        block -= np.multiply(w[:, :, None], v, out=_buffer(
+            scratch, "outer", block.shape))
     return q
-
-
-def _cgs2(z: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-    """Q of the factorization Z = QR whose R has a positive diagonal, by
-    classical Gram-Schmidt run twice over the columns of each matrix.  The
-    second pass restores orthogonality to rounding ("twice is enough",
-    Giraud, Langou and Rozloznik 2005), and the positive diagonal makes Q
-    Haar with no phase fix (Mezzadri, math-ph/0609050).  Q's columns and
-    their conjugates are written into the buffers of scratch."""
-    count, dim, _ = z.shape
-    cols = _buffer(scratch, "cols", z.shape)    # cols[:, k] is column k of Q
-    conj = _buffer(scratch, "conj", z.shape)
-    for k in range(dim):
-        v = z[:, :, k]
-        for _ in range(2 if k else 0):
-            coeff = np.einsum("bki,bi->bk", conj[:, :k], v)
-            v = v - np.einsum("bki,bk->bi", cols[:, :k], coeff)
-        norm = np.sqrt(np.einsum("bi,bi->b", v.real, v.real)
-                       + np.einsum("bi,bi->b", v.imag, v.imag))
-        cols[:, k] = v / norm[:, None]
-        np.conjugate(cols[:, k], out=conj[:, k])
-    return cols.transpose(0, 2, 1)
-
-
-def _det(q: np.ndarray) -> np.ndarray:
-    """Determinants of a (count, N, N) stack with N >= 2, in closed form
-    for N <= 3."""
-    if q.shape[1] == 2:
-        (a, b), (c, d) = np.moveaxis(q, 0, -1)
-        return a * d - b * c
-    if q.shape[1] == 3:
-        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(q, 0, -1)
-        return (a * (e * i - f * h) - b * (d * i - f * g)
-                + c * (d * h - e * g))
-    return np.linalg.det(q)
 
 
 def _batch_size(dim: int) -> int:

@@ -12,7 +12,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import Future
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,13 @@ import pytest
 
 from sunint import haar_mc
 from sunint.haar_mc import (
-    _CGS2_MAX_N,
+    _REFLECTOR_MAX_N,
     SPECIAL_UNITARY,
     UNITARY,
     GroupSpec,
     MCEstimate,
     SourceMatrices,
     _batch_size,
-    _cgs2,
     _haar_batch,
     _keyed_batch,
     check_sampling,
@@ -40,6 +39,8 @@ from sunint.haar_mc import (
 from sunint.weingarten import monomial_integral
 
 SIGMAS = 5.0
+# the last N built from reflectors, and the first built by LAPACK QR
+CROSSOVER = (_REFLECTOR_MAX_N, _REFLECTOR_MAX_N + 1)
 EXACT_MODULES = ("exactmath", "partitions", "weingarten", "su_shifted",
                  "largen", "reference")
 
@@ -126,30 +127,42 @@ def test_random_source_matrices_rejects_dimension_below_1():
 
 
 def test_unitarity_and_determinant_residuals():
-    # both sides of the CGS2 / LAPACK crossover
-    for dim in [*range(1, 9), 16]:
+    # both sides of the reflector / LAPACK crossover, and the sampling cap
+    for dim in [*range(1, _REFLECTOR_MAX_N + 2), 16, 32, 128]:
         for group in (UNITARY, SPECIAL_UNITARY):
             spec = GroupSpec(group, dim)
             rng = np.random.Generator(np.random.Philox(key=3))
-            u = _haar_batch(spec, 1000, rng)
+            u = _haar_batch(spec, 1000 if dim <= 32 else 20, rng)
             gram = np.conj(np.transpose(u, (0, 2, 1))) @ u
             assert np.abs(gram - np.eye(dim)).max() < 1e-12
             if group == SPECIAL_UNITARY:
                 assert np.abs(np.linalg.det(u) - 1).max() < 1e-12
 
 
-def _phase_fixed_qr(z):
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+def _reflector_phases(dim, count, key):
+    """e^(i theta_k) = x_k1 / |x_k1| of the draw that _haar_batch makes for
+    count matrices on the stream key: vector x_k of length N - k starts at
+    kN - k(k-1)/2 in each matrix's N(N+1)/2 complex normals."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = rng.standard_normal((count, dim * (dim + 1) // 2, 2)).view(
+        np.complex128)[..., 0]
+    first = x[:, [k * dim - k * (k - 1) // 2 for k in range(dim)]]
+    return first / np.abs(first)
 
 
-def test_cgs2_matches_phase_fixed_qr():
-    rng = np.random.Generator(np.random.Philox(key=5))
-    for dim in range(1, _CGS2_MAX_N + 1):
-        z = rng.standard_normal((1000, dim, dim)) \
-            + 1j * rng.standard_normal((1000, dim, dim))
-        assert np.abs(_cgs2(z) - _phase_fixed_qr(z)).max() < 1e-12, dim
+def test_determinant_is_the_product_of_the_reflector_phases():
+    # det Q = prod_k e^(i theta_k), since each reflector has determinant -1
+    # and D holds N - 1 phases with a minus sign; SU(N) scales the same
+    # sample by the principal N-th root of that product
+    for dim in range(1, _REFLECTOR_MAX_N + 1):
+        phases = np.prod(_reflector_phases(dim, 200, 5), axis=1)
+        u, s = (_haar_batch(GroupSpec(group, dim), 200,
+                            np.random.Generator(np.random.Philox(key=5)))
+                for group in (UNITARY, SPECIAL_UNITARY))
+        assert np.abs(np.linalg.det(u) - phases).max() < 1e-12, dim
+        root = np.exp(1j / dim * np.angle(phases))[:, None, None]
+        assert np.abs(s * root - u).max() < 1e-12, dim
+        assert np.abs(np.linalg.det(s) - 1).max() < 1e-12, dim
 
 
 def test_su1_is_trivial():
@@ -235,7 +248,7 @@ def test_seed_determinism_and_stream_slicing():
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, *CROSSOVER])
 def test_batch_draw_is_prefix_stable(group, dim):
     spec = GroupSpec(group, dim)
     full = _matrices(spec, 13, 4, _batch_size(dim))
@@ -263,19 +276,50 @@ def test_chunked_batch_is_one_draw(group, dim):
 
 def _fresh_array_matrices(spec, seed, index, count):
     """The first count matrices of batch index built from fresh arrays: one
-    standard_normal((count, N, N, 2)) draw on the batch's stream, then the
-    sampler's orthonormalization and SU projection."""
+    draw on the batch's stream, then, up to the crossover, the reflectors
+    applied to D from the last to the first, each as a product of fresh
+    arrays; above it LAPACK QR with R's diagonal phases pushed into Q."""
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
-    dim = spec.N
-    z = rng.standard_normal((count, dim, dim, 2)).view(np.complex128)[..., 0]
-    q = _cgs2(z) if dim <= _CGS2_MAX_N else _phase_fixed_qr(z)
-    if spec.group == SPECIAL_UNITARY:
-        q = q * np.exp(-1j / dim * np.angle(haar_mc._det(q)))[:, None, None]
-    return np.ascontiguousarray(q)
+    dim, special = spec.N, spec.group == SPECIAL_UNITARY
+    if dim > _REFLECTOR_MAX_N:
+        z = rng.standard_normal((count, dim, dim, 2)).view(
+            np.complex128)[..., 0]
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (diag / np.abs(diag))[:, None, :]
+        if special:
+            q = q * np.exp(-1j / dim * np.angle(np.linalg.det(q)))[:, None,
+                                                                   None]
+        return np.ascontiguousarray(q)
+    if special and dim == 1:
+        return np.ones((count, 1, 1), dtype=complex)
+    g = rng.standard_normal((count, dim * (dim + 1) // 2, 2))
+    x = g.view(np.complex128)[..., 0]
+    starts = [k * dim - k * (k - 1) // 2 for k in range(dim)]
+    lead = np.abs(x[:, starts])
+    phase = x[:, starts] / lead
+    d = np.concatenate([-phase[:, :-1], phase[:, -1:]], axis=1)
+    if special:
+        det = phase[:, 0]
+        for k in range(1, dim):
+            det = det * phase[:, k]
+        d = d * np.exp(-1j / dim * np.angle(det))[:, None]
+    q = np.zeros((count, dim, dim), dtype=complex)
+    q[:, range(dim), range(dim)] = d
+    for k in reversed(range(dim - 1)):
+        part = slice(starts[k], starts[k] + dim - k)
+        xk, gk = x[:, part], g[:, part]
+        norm = np.sqrt(np.einsum("bij,bij->b", gk, gk))
+        w = np.concatenate(
+            [(xk[:, 0] * (1 + norm / lead[:, k]))[:, None], xk[:, 1:]], axis=1)
+        v = np.conj(w)[:, None, :] @ q[:, k:, k:]
+        v = v / (norm * (norm + lead[:, k]))[:, None, None]
+        q[:, k:, k:] = q[:, k:, k:] - w[:, :, None] * v
+    return q
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
-@pytest.mark.parametrize("dim", [2, 3, 7, 8, 16, 32])
+@pytest.mark.parametrize("dim", [2, 3, 7, 8, 16, *CROSSOVER, 32])
 def test_reused_buffers_never_leak_stale_data(monkeypatch, group, dim):
     # one working set serves every chunk of several batches, of unequal
     # sizes, after a batch at another N has filled it: a chunk that read
@@ -310,6 +354,8 @@ def test_every_draw_states_its_size(monkeypatch):
     # a Generator subclass that counts normals from size, as the
     # benchmark's counter does, sees every normal a call draws
     src = random_source_matrices(3, 1)
+    dim = CROSSOVER[1]
+    wide = random_source_matrices(dim, 1)
     sizes = []
 
     class Counting(np.random.Generator):
@@ -320,7 +366,19 @@ def test_every_draw_states_its_size(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", Counting)
     _fresh(lambda: estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 3),
                                          1000, 1))
-    assert sum(prod(size) for size in sizes) == 1000 * 2 * 3 ** 2
+    # a chunk of k matrices draws k N(N+1) normals, N(N+1)/2 complex ones
+    # per matrix, and so does sample_haar
+    assert sizes and all(size[1:] == (6, 2) for size in sizes)
+    assert sum(prod(size) for size in sizes) == 1000 * 3 * 4
+    sizes.clear()
+    sample_haar(GroupSpec(SPECIAL_UNITARY, 3), np.random.Generator(
+        np.random.Philox(key=1)))
+    assert sizes == [(1, 6, 2)]
+    # above the crossover, the whole Ginibre matrix: 2 N^2 normals each
+    sizes.clear()
+    _fresh(lambda: estimate_trace_moment(1, 1, wide, GroupSpec(UNITARY, dim),
+                                         1000, 1))
+    assert sum(prod(size) for size in sizes) == 1000 * 2 * dim ** 2
 
 
 def test_no_working_set_outlives_a_call(monkeypatch):
@@ -346,7 +404,7 @@ def test_no_working_set_outlives_a_call(monkeypatch):
     monkeypatch.setattr(haar_mc, "_buffer", recorded)
     for cores in (1, 2):
         monkeypatch.setattr(haar_mc, "_CORES", cores)
-        for dim in (3, 8):    # the CGS2 path, then the QR path
+        for dim in CROSSOVER:    # the reflector path, then the QR path
             spec = GroupSpec(SPECIAL_UNITARY, dim)
             src = random_source_matrices(dim, 3)
             samples = 2 * _batch_size(dim) + 5
@@ -360,7 +418,7 @@ def test_no_working_set_outlives_a_call(monkeypatch):
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
-@pytest.mark.parametrize("dim", [3, 8, 32])
+@pytest.mark.parametrize("dim", [3, 8, *CROSSOVER, 32])
 def test_chunk_size_is_not_a_sampling_parameter(monkeypatch, group, dim):
     # the chunk bounds a worker's memory only: the samples and both
     # estimators' results are the same, bit for bit, at any chunk size
@@ -398,27 +456,44 @@ def test_no_lone_sample_in_a_chunk_where_two_fit(monkeypatch):
 def _phase_sources(dim):
     """K a diagonal of phases and J = K-dagger: JK = 1, and the balanced
     integrand |tr KU|^(2n) is real and nonnegative."""
-    k = np.diag(np.exp(1j * np.array([0.4, 1.3, -2.1][:dim])))
+    k = np.diag(np.exp(1j * np.array([0.4, 1.3, -2.1, 2.7, -0.8][:dim])))
     return SourceMatrices(k.conj(), k)
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_sectors_at_weight_up_from_dim_pass_mc(group, dim):
-    # the balanced sector on both groups and the shifted one on SU(N) at
-    # N <= n <= 6, where the character sum drops the diagrams with more
-    # than N rows (N + 1 one dimension up); one key, so the kept columns
-    # serve every moment, and a stderr under 5% of the value
+    # the balanced sector on both groups and the shifted one on SU(N), from
+    # weight N, where the character sum drops the diagrams with more than N
+    # rows (N + 1 one dimension up), to weight 6; one key, so the kept
+    # columns serve every moment. Each weight is one whose stderr is under
+    # 5% of the value: at N = 4 the shifted sector reaches that up to
+    # n = 5, at N = 5 the balanced one at n = 5 and the shifted one only up
+    # to n = 2. The shifted sector sees D's phases and the SU phase
+    balanced, shifted = {4: (range(4, 7), range(4, 6)),
+                         5: (range(5, 6), range(0, 3))}.get(
+                             dim, (range(dim, 7), range(dim, 7)))
     spec = GroupSpec(group, dim)
     src = _phase_sources(dim)
-    cases = [(n, n, haar_mc.eval_ordinary(n, src)) for n in range(dim, 7)]
+    cases = [(n, n, haar_mc.eval_ordinary(n, src)) for n in balanced]
     if group == SPECIAL_UNITARY:
-        cases += [(dim + n, n, haar_mc.eval_shifted(n, src))
-                  for n in range(dim, 7)]
+        cases += [(dim + n, n, haar_mc.eval_shifted(n, src)) for n in shifted]
     for p, n, exact in cases:
         est = estimate_trace_moment(p, n, src, spec, 200_000, 5)
         assert compare(est, exact, SIGMAS)["pass"], (p, n)
         assert max(est.stderr_real, est.stderr_imag) < 0.05 * abs(exact)
+
+
+@pytest.mark.parametrize("dim", [8, CROSSOVER[1]])
+def test_trace_moments_of_u_pass_mc_on_both_paths(dim):
+    # E |tr U|^(2k) = k! on U(N) for k <= N, on each side of the crossover:
+    # built from reflectors, and by LAPACK QR at its first N
+    spec = GroupSpec(UNITARY, dim)
+    eye = SourceMatrices(np.eye(dim), np.eye(dim))
+    for k in (1, 2, 3):
+        est = estimate_trace_moment(k, k, eye, spec, 200_000, 5)
+        assert compare(est, factorial(k), SIGMAS)["pass"], k
+        assert max(est.stderr_real, est.stderr_imag) < 0.05 * factorial(k)
 
 
 def test_batch_size_bounds_the_working_set():
@@ -426,7 +501,7 @@ def test_batch_size_bounds_the_working_set():
         [8192, 8192, 8192, 2048, 512, 32, 1]
 
 
-@pytest.mark.parametrize("dim", [3, 8, 16])
+@pytest.mark.parametrize("dim", [3, 8, 16, *CROSSOVER])
 def test_estimates_do_not_depend_on_worker_count(monkeypatch, dim):
     spec = GroupSpec(SPECIAL_UNITARY, dim)
     src = random_source_matrices(dim, 4)
@@ -603,25 +678,27 @@ def test_kept_columns_follow_every_input():
     src = random_source_matrices(3, 9)
 
     def fill_then(call):
-        _fresh(lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4))
+        _fresh(lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4))
         return call()
 
-    base = _fresh(lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4))
+    # not a balanced moment: with one seed an SU(3) sample is the U(3)
+    # sample times a phase, which (tr KU)(tr J U-dagger) does not see
+    base = _fresh(lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4))
     variants = [
-        lambda: estimate_trace_moment(1, 1, src, spec, 9000, 5),
-        lambda: estimate_trace_moment(1, 1, src, GroupSpec(UNITARY, 3),
+        lambda: estimate_trace_moment(2, 1, src, spec, 9000, 5),
+        lambda: estimate_trace_moment(2, 1, src, GroupSpec(UNITARY, 3),
                                       9000, 4),
-        lambda: estimate_trace_moment(1, 1, random_source_matrices(2, 9),
+        lambda: estimate_trace_moment(2, 1, random_source_matrices(2, 9),
                                       GroupSpec(SPECIAL_UNITARY, 2), 9000, 4),
-        lambda: estimate_trace_moment(1, 1, src, spec, 9001, 4),
+        lambda: estimate_trace_moment(2, 1, src, spec, 9001, 4),
     ]
     for call in variants:
         assert fill_then(call) == _fresh(call) != base
-    _fresh(lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4))
+    _fresh(lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4))
     src.K[0, 0] += 1    # the matrices are mutable: the key holds their bytes
-    changed = estimate_trace_moment(1, 1, src, spec, 9000, 4)
+    changed = estimate_trace_moment(2, 1, src, spec, 9000, 4)
     assert changed == _fresh(
-        lambda: estimate_trace_moment(1, 1, src, spec, 9000, 4)) != base
+        lambda: estimate_trace_moment(2, 1, src, spec, 9000, 4)) != base
 
 
 def test_kept_columns_under_concurrent_callers():
