@@ -20,10 +20,11 @@ call of 1000 samples on two workers traces a peak of 4.6 MB.
 
 Each thread that draws holds one working set for one estimator call, in a
 ``threading.local`` that ``_estimate`` makes per call.  Every chunk's draw
-and, up to ``_REFLECTOR_MAX_N``, its Q and the reflectors' rank-1 products
-are written into it, and each chunk's trace columns go straight into its
-batch's result.  Above it ``np.linalg.qr`` and, for SU(N),
-``np.linalg.det`` still allocate per chunk.
+and, up to ``_REFLECTOR_MAX_N``, its vectors and Q, laid out sample-minor so
+that each numpy loop runs over all of the chunk's samples, and the
+reflectors' products are written into it; each chunk's trace columns go
+straight into its batch's result.  Above it ``np.linalg.qr`` and, for
+SU(N), ``np.linalg.det`` still allocate per chunk.
 
 ``estimate_trace_moment`` keeps the per-sample (tr KU, tr J U-dagger)
 columns of its last call's batches of index below 2**19 / (2 * batch
@@ -57,7 +58,7 @@ from .weingarten import _class_function
 BATCH = 8192
 _BATCH_ENTRIES = 2 ** 19         # bounds one batch's working set at large N
 _CHUNK_ENTRIES = 2 ** 15         # 512 KB arrays: a worker's ~4 fit a 2 MB L2
-_REFLECTOR_MAX_N = 24            # measured, BENCH_36_reflectors.json
+_REFLECTOR_MAX_N = 24            # measured, BENCH_37_sample_minor.json
 _RESERVED_STREAM = 2 ** 64 - 1   # source-matrix stream; never a batch index
 _MAX_SEED = 2 ** 63
 # an N = 128 file, the sampling cap, is 2.2 MB with indent=2 and 2.9 MB with
@@ -240,10 +241,14 @@ def _haar_batch(spec: GroupSpec, count: int, rng: np.random.Generator,
     1 - 2 w_k w_k^H / |w_k|^2 and D = diag(-e^(i theta_0), ...,
     -e^(i theta_(N-2)), e^(i theta_(N-1))) holds R's diagonal phases.  Each
     H_k has determinant -1, so det Q is the product of the e^(i theta_k).
-    Above it LAPACK QR of one standard_normal((count, N, N, 2)) draw is
-    faster, with R's diagonal phases pushed into Q.  The special unitary
-    projection divides by the principal N-th root of det Q, exp(i arg(det
-    Q) / N); on the reflector path it scales D.
+    The x_k are transposed once and Q is built sample-minor, (N, N, count),
+    the stack a view of it: each numpy loop of a step runs over all the
+    chunk's samples, not over one matrix row of N - k entries, and no sum
+    runs along the samples' axis.  Above it LAPACK QR of one
+    standard_normal((count, N, N, 2)) draw is faster, with R's diagonal
+    phases pushed into Q.  The special unitary projection divides by the
+    principal N-th root of det Q, exp(i arg(det Q) / N); on the reflector
+    path it scales D.
 
     The first k samples do not depend on count; with the per-N batch of
     ``_batch_size`` and the per-batch streams of ``_keyed_batch``, sample s
@@ -269,28 +274,41 @@ def _haar_batch(spec: GroupSpec, count: int, rng: np.random.Generator,
             q *= np.exp(-1j / dim * np.angle(np.linalg.det(q)))[:, None, None]
         return q
     starts = [k * dim - k * (k - 1) // 2 for k in range(dim)]
-    lead = np.abs(x[:, starts])             # |x_k1|
-    q = _buffer(scratch, "haar", (count, dim, dim))
+    t = _buffer(scratch, "outer", (dim * dim, count))[:shape[1]]
+    np.copyto(t, x.T)    # sample-minor, and back into the draw's buffer
+    np.copyto(x := g.reshape(-1).view(np.complex128).reshape(t.shape), t)
+    q = _buffer(scratch, "haar", (dim, dim, count))
     q[:] = 0
-    d = q.reshape(count, -1)[:, ::dim + 1]    # the diagonal of q
-    np.divide(x[:, starts], lead, out=d)    # e^(i theta_k)
+    d = q.reshape(dim * dim, count)[::dim + 1]    # the diagonal of q
+    # |x_k|^2 as sums of re^2 and im^2 rows; a lone column would be summed
+    # pairwise, so the re and im columns are added only after the rows
+    squares = np.square(x.view(np.float64), out=t.view(np.float64))
+    norm = np.empty((dim, 2 * count))
+    for k, start in enumerate(starts):
+        np.add.reduce(squares[start:start + dim - k], axis=0, out=norm[k])
+    norm = np.sqrt(norm[:, 0::2] + norm[:, 1::2])
+    lead = np.abs(x[starts])                # |x_k1|
+    np.divide(x[starts].real, lead, out=d.real)    # e^(i theta_k)
+    np.divide(x[starts].imag, lead, out=d.imag)
     if spec.group == SPECIAL_UNITARY:
-        det = d[:, 0]    # np.prod multiplies a lone row in another order
+        det = d[0]    # np.prod multiplies a lone column in another order
         for k in range(1, dim):
-            det = det * d[:, k]
-        d *= np.exp(-1j / dim * np.angle(det))[:, None]
-    np.negative(d[:, :-1], out=d[:, :-1])
+            det = det * d[k]
+        d *= np.exp(-1j / dim * np.angle(det))
+    np.negative(d[:-1], out=d[:-1])
+    inverse = 1 / (norm * (norm + lead))    # 2 / |w_k|^2
+    norm /= lead                            # |x_k| / |x_k1|
+    del lead                                # not held through the loop
     for k in range(dim - 2, -1, -1):    # H_k acts on the trailing block
         start, size = starts[k], dim - k
-        block, gk = q[:, k:, k:], g[:, start:start + size]
-        norm = np.sqrt(np.einsum("bij,bij->b", gk, gk))
-        w = x[:, start:start + size]    # x_k becomes w_k in place
-        w[:, 0] = w[:, 0] * (1 + norm / lead[:, k])
-        v = np.matmul(w.conj()[:, None, :], block)
-        v /= (norm * (norm + lead[:, k]))[:, None, None]    # |w_k|^2 / 2
-        block -= np.multiply(w[:, :, None], v, out=_buffer(
+        block, w = q[k:, k:], x[start:start + size]
+        w[0] += w[0] * norm[k]              # x_k becomes w_k in place
+        u = np.conj(w)
+        u *= inverse[k]                     # w_k^H / (|w_k|^2 / 2)
+        part = np.multiply(u[:, None], block, out=_buffer(
             scratch, "outer", block.shape))
-    return q
+        block -= np.multiply(w[:, None], part.sum(axis=0), out=part)
+    return q.transpose(2, 0, 1)
 
 
 def _batch_size(dim: int) -> int:
@@ -420,13 +438,15 @@ def _power(x: np.ndarray, e: int) -> np.ndarray:
 def _trace_columns(src: SourceMatrices, u: np.ndarray,
                    out: np.ndarray) -> None:
     """Write tr KU and tr J U-dagger for each matrix of the stack u into
-    the rows of out, (2, count).  einsum sums a lone matrix of over 8192
-    entries (N >= 91) in another order than a stack, so a lone matrix is
-    given a twin: each sample's value does not depend on the samples beside
-    it."""
+    the rows of out, (2, count).  einsum sums a lone matrix in another order
+    than a stack (at N >= 3 up to ``_REFLECTOR_MAX_N``, N >= 91 above it),
+    so a lone matrix is given a twin laid out as that N's stacks are: each
+    sample's value does not depend on the samples beside it."""
     if len(u) == 1:
+        axis = 2 if len(u[0]) <= _REFLECTOR_MAX_N else 0
         twin = np.empty((2, 2), dtype=complex)
-        _trace_columns(src, np.concatenate([u, u]), twin)
+        _trace_columns(src, np.moveaxis(np.stack([u[0], u[0]], axis), axis,
+                                        0), twin)
         out[:] = twin[:, :1]
         return
     np.einsum("ij,bji->b", src.K, u, out=out[0])

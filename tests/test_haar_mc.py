@@ -276,9 +276,11 @@ def test_chunked_batch_is_one_draw(group, dim):
 
 def _fresh_array_matrices(spec, seed, index, count):
     """The first count matrices of batch index built from fresh arrays: one
-    draw on the batch's stream, then, up to the crossover, the reflectors
-    applied to D from the last to the first, each as a product of fresh
-    arrays; above it LAPACK QR with R's diagonal phases pushed into Q."""
+    draw on the batch's stream, then, up to the crossover, the vectors x_k
+    laid out sample-minor, (N(N+1)/2, count), and the reflectors applied to
+    D from the last to the first, each as products of fresh (N - k, N - k,
+    count) arrays; above it LAPACK QR with R's diagonal phases pushed into
+    Q."""
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
     dim, special = spec.N, spec.group == SPECIAL_UNITARY
     if dim > _REFLECTOR_MAX_N:
@@ -294,28 +296,32 @@ def _fresh_array_matrices(spec, seed, index, count):
     if special and dim == 1:
         return np.ones((count, 1, 1), dtype=complex)
     g = rng.standard_normal((count, dim * (dim + 1) // 2, 2))
-    x = g.view(np.complex128)[..., 0]
+    x = np.ascontiguousarray(g.view(np.complex128)[..., 0].T)
     starts = [k * dim - k * (k - 1) // 2 for k in range(dim)]
-    lead = np.abs(x[:, starts])
-    phase = x[:, starts] / lead
-    d = np.concatenate([-phase[:, :-1], phase[:, -1:]], axis=1)
+    squares = np.square(x.view(np.float64))
+    sums = np.array([squares[start:start + dim - k].sum(axis=0)
+                     for k, start in enumerate(starts)])
+    norm = np.sqrt(sums[:, 0::2] + sums[:, 1::2])
+    lead = np.abs(x[starts])
+    phase = np.empty_like(x[starts])
+    phase.real, phase.imag = x[starts].real / lead, x[starts].imag / lead
+    d = np.concatenate([-phase[:-1], phase[-1:]])
     if special:
-        det = phase[:, 0]
+        det = phase[0]
         for k in range(1, dim):
-            det = det * phase[:, k]
-        d = d * np.exp(-1j / dim * np.angle(det))[:, None]
-    q = np.zeros((count, dim, dim), dtype=complex)
-    q[:, range(dim), range(dim)] = d
+            det = det * phase[k]
+        d = d * np.exp(-1j / dim * np.angle(det))
+    q = np.zeros((dim, dim, count), dtype=complex)
+    q[range(dim), range(dim)] = d
+    inverse, ratio = 1 / (norm * (norm + lead)), norm / lead
     for k in reversed(range(dim - 1)):
-        part = slice(starts[k], starts[k] + dim - k)
-        xk, gk = x[:, part], g[:, part]
-        norm = np.sqrt(np.einsum("bij,bij->b", gk, gk))
-        w = np.concatenate(
-            [(xk[:, 0] * (1 + norm / lead[:, k]))[:, None], xk[:, 1:]], axis=1)
-        v = np.conj(w)[:, None, :] @ q[:, k:, k:]
-        v = v / (norm * (norm + lead[:, k]))[:, None, None]
-        q[:, k:, k:] = q[:, k:, k:] - w[:, :, None] * v
-    return q
+        first, part = starts[k], slice(starts[k] + 1, starts[k] + dim - k)
+        w = np.concatenate([x[first:first + 1] + x[first:first + 1]
+                            * ratio[k], x[part]])
+        u = np.conj(w) * inverse[k]
+        v = (u[:, None] * q[k:, k:]).sum(axis=0)
+        q[k:, k:] = q[k:, k:] - w[:, None] * v
+    return q.transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
@@ -335,6 +341,23 @@ def test_reused_buffers_never_leak_stale_data(monkeypatch, group, dim):
         u = _matrices(spec, 9, index, count, scratch)
         assert u.tobytes() == _fresh_array_matrices(
             spec, 9, index, count).tobytes(), (index, count)
+
+
+@pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
+@pytest.mark.parametrize("dim", [2, 3, 16, _REFLECTOR_MAX_N])
+def test_short_chunks_are_prefixes_of_a_long_one(group, dim):
+    # the reflector path runs each numpy loop over all of a chunk's samples
+    # and never sums along the samples' axis: a chunk of 1, 2 or 37
+    # matrices is the start of a 129-matrix chunk, bit for bit
+    spec = GroupSpec(group, dim)
+
+    def chunk(count):
+        rng = np.random.Generator(np.random.Philox(key=8))
+        return _haar_batch(spec, count, rng, {}).copy()
+
+    full = chunk(129)
+    for count in (1, 2, 37):
+        assert chunk(count).tobytes() == full[:count].tobytes(), count
 
 
 @pytest.mark.parametrize("group", [UNITARY, SPECIAL_UNITARY])
@@ -636,10 +659,11 @@ def test_power_shortcut_is_numpy_power():
                     == (x ** e).view(np.uint64)).all(), e
 
 
-@pytest.mark.parametrize("dim", [91, 128])
+@pytest.mark.parametrize("dim", [3, 16, _REFLECTOR_MAX_N, 91, 128])
 def test_lone_sample_gets_its_stacked_traces(dim):
-    # einsum sums a lone matrix of over 8192 entries in another order than
-    # a stack; a batch of one sample must still give that sample's traces
+    # einsum sums a lone matrix in another order than a stack, sample-minor
+    # on the reflector path (N >= 3) or of over 8192 entries on the QR path;
+    # a batch of one sample must still give that sample's traces
     spec = GroupSpec(UNITARY, dim)
     src = random_source_matrices(dim, 2)
 
@@ -648,9 +672,11 @@ def test_lone_sample_gets_its_stacked_traces(dim):
 
     one = _keyed_batch(spec, 2, 4, np.empty((2, 1), dtype=complex), columns,
                        {})
-    # the traces of the batch's first three samples taken as one stack
+    # the traces of the batch's first three samples taken as one stack,
+    # laid out as the sampler lays it out
     three = np.empty((2, 3), dtype=complex)
-    columns(_matrices(spec, 2, 4, 3), three)
+    columns(_haar_batch(spec, 3, np.random.Generator(
+        np.random.Philox(key=(2 << 64) + 4))), three)
     for row in range(2):
         assert one[row, 0] == three[row, 0], row
 
