@@ -240,20 +240,18 @@ def _group_spec(name: str, dim: int) -> GroupSpec:
 
 def _sector(group: str, p: int, n: int, dim: int) -> str:
     """Sector of an integral with p factors of U and n of U-dagger over
-    U(dim) or SU(dim): the value is zero in "unbalanced" (U(dim), p != n)
-    and "charge-mismatch" (SU(dim), p - n not a multiple of dim).  The
-    balanced (p = n) and shifted (p = n + dim) sectors are known exactly at
-    every weight n up to MAX_WEIGHT (tensor refuses more U-dagger factors
-    first); above it they are "balanced-high-weight" and "outside-range",
-    as is every other p - n."""
+    U(dim) or SU(dim), by its charge p - n alone: the value is zero in
+    "unbalanced" (U(dim), p != n) and "charge-mismatch" (SU(dim), p - n not
+    a multiple of dim); the paper solves "balanced" (p = n) and "shifted"
+    (p = n + dim); every other multiple of dim is "outside-range".  Whether
+    a value is implemented is for the caller to say."""
     if group == _UNITARY and p != n:
         return "unbalanced"
     if (p - n) % dim:
         return "charge-mismatch"
-    known = n <= MAX_WEIGHT
     if p == n:
-        return "balanced" if known else "balanced-high-weight"
-    return "shifted" if p - n == dim and known else "outside-range"
+        return "balanced"
+    return "shifted" if p - n == dim else "outside-range"
 
 
 _ZERO_SECTORS = ("unbalanced", "charge-mismatch")
@@ -261,30 +259,25 @@ _ZERO_SECTORS = ("unbalanced", "charge-mismatch")
 
 def _exact_trace_moment(p: int, n: int, src: SourceMatrices,
                         group: str) -> tuple[complex | None, str]:
-    """Exact value of the (p, n) trace-moment integral when known.
-
-    Returns (value, sector label); value is None when the sector is
-    outside the implemented range.
-    """
+    """Exact value of the (p, n) trace-moment integral, with its sector
+    label; the value is None outside the balanced and shifted sectors and
+    above weight n = MAX_WEIGHT."""
     from . import haar_mc
     sector = _sector(group, p, n, src.dim)
     if sector in _ZERO_SECTORS:
         return 0.0, sector
-    if sector == "balanced":
-        if n == 0:
-            return 1.0, "trivial"
-        return complex(haar_mc.eval_ordinary(n, src)), sector
-    if sector == "shifted":
-        return complex(haar_mc.eval_shifted(n, src)), sector
-    return None, sector
+    if sector == "outside-range" or n > MAX_WEIGHT:
+        return None, sector
+    evaluate = haar_mc.eval_ordinary if p == n else haar_mc.eval_shifted
+    return complex(evaluate(n, src)), sector
 
 
 # Largest sampling job the CLI admits, so every Monte Carlo call ends in
 # bounded time: drawn matrix entries per command (samples x N^2 for mc and
 # tensor, summed over the estimator calls of verify --suite mc), and N.
-# On a 2-vCPU box SU(N) draws about 10 M entries/s up to N = 64 but 2.3 M at
+# On a 2-vCPU box SU(N) draws about 10 M entries/s up to N = 64 but 3.3 M at
 # N = 128, so the slowest admitted call, mc --N 128 --samples 8192, takes
-# about a minute (56 s).
+# about 41 s.
 _MAX_SAMPLED_ENTRIES = 2 ** 27
 _MAX_SAMPLED_N = 128
 
@@ -368,7 +361,7 @@ def _exact_monomial(i: list[int], j: list[int], k: list[int], l: list[int],
     if sector == "shifted" and not k:
         from .su_shifted import epsilon_integral
         return epsilon_integral(i, j, dim), "epsilon"
-    return None, "outside-range" if sector == "shifted" else sector
+    return None, sector
 
 
 def _cmd_tensor(args: argparse.Namespace) -> tuple[str, int]:

@@ -16,13 +16,12 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from .exactmath import (N, PolyN, RatFuncN, _linear_product,
-                        _over_linear_factors)
-from .partitions import Partition, class_size, enumerate_partitions
+from .exactmath import N, PolyN, RatFuncN, _linear_product
+from .partitions import Partition, enumerate_partitions
 from .weingarten import (
     MAX_WEIGHT,
     CoeffTable,
-    _class_sums,
+    _character_table,
     _cycle_type,
     recursion_step,
     weingarten_table_character,
@@ -53,21 +52,9 @@ def epsilon_integral(i: Sequence[int], j: Sequence[int],
 @lru_cache(maxsize=None)
 def shifted_table(n: int) -> CoeffTable:
     """Determinant-sector table via the dimension-shift relation:
-    entry(alpha) = (N+n)(N+n-1)...(N+1) * balanced entry(alpha) at N+1.
-
-    Each entry is built once from the balanced character sum's numerator at
-    N+1 over its common denominator n! D(N+1), in which (N+1)...(N+n)
-    cancels one power of each factor N+1+k with 0 <= k < n.  The rest of
-    that denominator is reduced at its known roots, with no gcd."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    exponents, scale, sums = _class_sums(n)
-    exponents = {k: m - (k >= 0) for k, m in exponents.items()}
-    entries = {a: _over_linear_factors(
-                   (class_size(a) * PolyN(num).shifted(1)).coeffs,
-                   scale, exponents, shift=1)
-               for a, num in sums.items()}
-    return CoeffTable(n=n, family="su-shifted", entries=entries)
+    entry(alpha) = (N+n)(N+n-1)...(N+1) * balanced entry(alpha) at N+1,
+    the balanced character route run one dimension up."""
+    return _character_table(n, 1)
 
 
 @lru_cache(maxsize=None)

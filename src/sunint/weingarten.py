@@ -31,7 +31,6 @@ from .partitions import (
     Partition,
     _character_matrix,
     class_size,
-    dim_sn,
     enumerate_partitions,
 )
 
@@ -80,14 +79,14 @@ def _class_sums(n: int) -> tuple[dict[int, int], int,
     H(lam), with c = column - row the cell's content, so every term of C
     divides D(N) = prod_k (N + k)^{m_k}, where m_k is the largest number of
     cells of content k in any lam of weight n.  The weight of lam is
-    dim_sn(lam)^2 H(lam) / n!^2 = dim_sn(lam) / n!, so
+    f^2 H(lam) / n!^2 = f / n!, with f = chi^lam(1^n) = n! / H(lam), so
 
-        n! D(N) C(alpha) = sum_lam dim_sn(lam) chi^lam(alpha)
+        n! D(N) C(alpha) = sum_lam chi^lam(1^n) chi^lam(alpha)
                            * prod_k (N + k)^{m_k - c_lam(k)},
 
     an integer polynomial.  Returns the exponents m_k, n! and that
     numerator's integer coefficients for every class alpha of weight n,
-    built on int lists with the weight's characters taken from one matrix.
+    built on int lists from one matrix of the weight's characters.
     """
     diagrams = enumerate_partitions(n)
     contents = [Counter(j - i for i, r in enumerate(lam.parts)
@@ -97,13 +96,12 @@ def _class_sums(n: int) -> tuple[dict[int, int], int,
         for k, m in counts.items():
             exponents[k] = max(exponents.get(k, 0), m)
     sums = [[0] * (sum(exponents.values()) - n + 1) for _ in diagrams]
-    for lam, counts, chi in zip(diagrams, contents, _character_matrix(n)):
-        dim = dim_sn(lam)
+    for counts, chi in zip(contents, _character_matrix(n)):
         cofactor = _linear_product(
             {k: m - counts[k] for k, m in exponents.items()})
         for acc, x in zip(sums, chi):
             if x:
-                weight = dim * x
+                weight = chi[0] * x
                 for d, c in enumerate(cofactor):
                     acc[d] += weight * c
     return exponents, factorial(n), dict(zip(diagrams, sums))
@@ -129,18 +127,29 @@ def _class_function(n: int, dim: int) -> dict[Partition, Fraction]:
             for alpha, column in zip(diagrams, columns)}
 
 
-@lru_cache(maxsize=None)
-def weingarten_table_character(n: int) -> CoeffTable:
-    """Coefficient table for the balanced sector via the character formula:
-    entry(alpha) = class_size(alpha) * C(alpha), with one common-denominator
-    character sum per weight and no solver or recursion."""
+def _character_table(n: int, shift: int) -> CoeffTable:
+    """The character route's weight-n table: at shift 0 the balanced sector,
+    entry(alpha) = class_size(alpha) * C(alpha), and at shift 1 the
+    determinant sector, that entry at N+1 times (N+1)...(N+n).  Each entry is
+    built once from the character sum's numerator over its common denominator
+    n! D(N+shift), in which (N+1)...(N+n) cancels one power of each N+1+k,
+    0 <= k < n; the rest is reduced at its known roots, with no gcd."""
     if n < 0:
         raise ValueError("weight must be nonnegative")
     exponents, scale, sums = _class_sums(n)
-    entries = {a: _over_linear_factors([class_size(a) * c for c in num],
-                                       scale, exponents)
+    exponents = {k: m - shift * (k >= 0) for k, m in exponents.items()}
+    entries = {a: _over_linear_factors(
+                   (class_size(a) * PolyN(num).shifted(shift)).coeffs,
+                   scale, exponents, shift=shift)
                for a, num in sums.items()}
-    return CoeffTable(n=n, family="weingarten", entries=entries)
+    return CoeffTable(n, ("weingarten", "su-shifted")[shift], entries)
+
+
+@lru_cache(maxsize=None)
+def weingarten_table_character(n: int) -> CoeffTable:
+    """Balanced-sector table via the character formula: one common-denominator
+    character sum per weight, and no solver or recursion."""
+    return _character_table(n, 0)
 
 
 # -- recursion route ---------------------------------------------------------

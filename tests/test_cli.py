@@ -247,8 +247,8 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
 @pytest.mark.parametrize("group, p, n, dim, sector, exact", [
     ("unitary", 2, 1, 3, "unbalanced", [0.0, 0.0]),
     ("special-unitary", 2, 1, 3, "charge-mismatch", [0.0, 0.0]),
-    ("special-unitary", 0, 0, 3, "trivial", [1.0, 0.0]),
-    ("unitary", 0, 0, 2, "trivial", [1.0, 0.0]),
+    ("special-unitary", 0, 0, 3, "balanced", [1.0, 0.0]),
+    ("unitary", 0, 0, 2, "balanced", [1.0, 0.0]),
     ("special-unitary", 1, 1, 3, "balanced",
      [0.09605459414849252, -0.18359445629574903]),
     ("unitary", 2, 2, 3, "balanced",
@@ -257,7 +257,7 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
      [-0.0017171716096663556, -0.0325570453189751]),
     ("unitary", 3, 3, 3, "balanced",
      [-0.0017171716096663556, -0.0325570453189751]),
-    ("special-unitary", 9, 9, 10, "balanced-high-weight", None),
+    ("special-unitary", 9, 9, 10, "balanced", None),
     ("special-unitary", 3, 0, 3, "shifted",
      [-0.028863103971991672, 0.39375673173055853]),
     ("special-unitary", 4, 1, 3, "shifted",
@@ -268,7 +268,7 @@ def test_mc_matrices_dimension_mismatch(capsys, tmp_path):
     ("special-unitary", 0, 3, 3, "outside-range", None),
     ("special-unitary", 6, 3, 3, "shifted",
      [0.01806947344597823, -0.04434262964733511]),
-    ("special-unitary", 19, 9, 10, "outside-range", None),
+    ("special-unitary", 19, 9, 10, "shifted", None),
 ])
 def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
     code, payload = run_json(capsys, "mc", "--p", str(p), "--n", str(n),
@@ -278,6 +278,24 @@ def test_mc_sector_table(capsys, group, p, n, dim, sector, exact):
     assert payload["sector"] == sector
     assert payload["exact"] == exact
     assert (payload["comparison"] is None) == (exact is None)
+
+
+def test_sector_is_the_charge_rule():
+    # five labels, read off the group and the charge p - n: a weight with no
+    # implemented value (above MAX_WEIGHT) keeps the label of the one below
+    labels = {"unbalanced", "charge-mismatch", "balanced", "shifted",
+              "outside-range"}
+    seen = set()
+    for group in ("unitary", "special-unitary"):
+        for dim in range(1, 6):
+            for p in range(13):
+                for n in range(13):
+                    seen.add(cli._sector(group, p, n, dim))
+            for charge in range(-cli.MAX_WEIGHT, 13):
+                at_cap, above = (cli._sector(group, w + charge, w, dim)
+                                 for w in (cli.MAX_WEIGHT, cli.MAX_WEIGHT + 1))
+                assert at_cap == above, (group, dim, charge)
+    assert seen == labels
 
 
 EYE2 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
@@ -402,7 +420,7 @@ def test_tensor_u11_moment_law(capsys):
     ("unitary", "1:1,2:2", "1:1,2:2", 2, "balanced", "1/3"),
     ("special-unitary", "1:2,2:1", "", 2, "epsilon", "-1/2"),
     ("special-unitary", "1:1,2:2,3:3", "", 3, "epsilon", "1/6"),
-    ("special-unitary", "1:1,2:2,1:1", "1:1", 2, "outside-range", None),
+    ("special-unitary", "1:1,2:2,1:1", "1:1", 2, "shifted", None),
     ("special-unitary", "1:1,1:1", "", 1, "outside-range", None),
     ("special-unitary", "", "1:1,2:2", 2, "outside-range", None),
 ])

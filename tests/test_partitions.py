@@ -9,6 +9,7 @@ import pytest
 from sunint.exactmath import N, PolyN
 from sunint.partitions import (
     Partition,
+    _character_matrix,
     catalan,
     character,
     class_size,
@@ -171,6 +172,10 @@ def test_dimension_consistency():
             assert character(d, Partition.from_parts([1] * n)) == dim
             total += dim * dim
         assert total == factorial(n)
+    # the character route reads f^lam = chi^lam(1^n) from the first column
+    for n in range(13):
+        assert [row[0] for row in _character_matrix(n)] == \
+            [dim_sn(d) for d in enumerate_diagrams(n)], n
 
 
 def test_dim_gl_small():
